@@ -25,6 +25,28 @@ __all__ = [
 ]
 
 
+def _meta(ckpt: Checkpoint, source: str, key: str, parse=int):
+    """``parse(ckpt.meta[key])``; a missing key or a value ``parse`` rejects
+    raises CheckpointError naming ``source`` and ``key``."""
+    if key not in ckpt.meta:
+        raise CheckpointError(f"{source}: missing meta key {key!r}")
+    raw = ckpt.meta[key]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise CheckpointError(f"{source}: meta key {key!r} has invalid value {raw!r}") from None
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(raw)
+    return raw == "true"
+
+
+# Integer meta keys of a TextEncoder, shared by both kinds that hold one.
+_ENCODER_META = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len")
+
+
 def _assign_blocks(named: list[tuple[str, Parameter]], arrays: dict[str, np.ndarray],
                    source: str) -> None:
     names = [n for n, _ in named]
@@ -40,6 +62,8 @@ def _assign_blocks(named: list[tuple[str, Parameter]], arrays: dict[str, np.ndar
             raise CheckpointError(
                 f"{source}: block {n!r} has shape {arrays[n].shape}, expected {p.data.shape}"
             )
+        if not np.all(np.isfinite(arrays[n])):
+            raise CheckpointError(f"{source}: block {n!r} holds non-finite values")
         p.data = np.array(arrays[n], dtype=np.float64)
 
 
@@ -97,15 +121,15 @@ class TextTeacherModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint") -> "TextTeacherModel":
-        m = ckpt.meta
+        m = {k: _meta(ckpt, source, k) for k in _ENCODER_META + ("lora_rank",)}
+        lora_alpha = _meta(ckpt, source, "lora_alpha", float)
         rng = rng_for(0, "rebuild")
         encoder = TextEncoder(
-            int(m["vocab_size"]), int(m["d_model"]), int(m["n_layers"]),
-            int(m["n_heads"]), int(m["d_ff"]), int(m["max_len"]), rng=rng,
-            lora_rank=int(m["lora_rank"]), lora_alpha=float(m["lora_alpha"]),
+            m["vocab_size"], m["d_model"], m["n_layers"], m["n_heads"], m["d_ff"],
+            m["max_len"], rng=rng, lora_rank=m["lora_rank"], lora_alpha=lora_alpha,
         )
         encoder.freeze_base()
-        head = ClassifierHead(int(m["d_model"]), rng=rng)
+        head = ClassifierHead(m["d_model"], rng=rng)
         model = cls(encoder, head)
         _assign_blocks(model.named_parameters(), ckpt.arrays, source)
         return model
@@ -161,10 +185,11 @@ class AudioTeacherModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint") -> "AudioTeacherModel":
-        m = ckpt.meta
+        input_dim = _meta(ckpt, source, "input_dim")
+        hidden_dim = _meta(ckpt, source, "hidden_dim")
         rng = rng_for(0, "rebuild")
-        bilstm = BiLstm(int(m["input_dim"]), int(m["hidden_dim"]), rng=rng)
-        head = ClassifierHead(2 * int(m["hidden_dim"]), rng=rng)
+        bilstm = BiLstm(input_dim, hidden_dim, rng=rng)
+        head = ClassifierHead(2 * hidden_dim, rng=rng)
         model = cls(bilstm, head)
         arrays = dict(ckpt.arrays)
         for name, qm in ckpt.quantized.items():
@@ -292,19 +317,23 @@ class StudentModel:
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint") -> "StudentModel":
-        m = ckpt.meta
+        m = {
+            k: _meta(ckpt, source, k)
+            for k in _ENCODER_META + ("input_dim", "hidden_dim", "fusion_dim", "fusion_heads")
+        }
+        multi_head = _meta(ckpt, source, "multi_head", _parse_bool)
         rng = rng_for(0, "rebuild")
         encoder = TextEncoder(
-            int(m["vocab_size"]), int(m["d_model"]), int(m["n_layers"]),
-            int(m["n_heads"]), int(m["d_ff"]), int(m["max_len"]), rng=rng,
+            m["vocab_size"], m["d_model"], m["n_layers"], m["n_heads"], m["d_ff"],
+            m["max_len"], rng=rng,
         )
-        bilstm = BiLstm(int(m["input_dim"]), int(m["hidden_dim"]), rng=rng)
-        d_t, d_a = int(m["d_model"]), 2 * int(m["hidden_dim"])
-        if m["multi_head"] == "true":
-            fusion = MultiHeadFusion(d_t, d_a, int(m["fusion_dim"]), int(m["fusion_heads"]), rng=rng)
+        bilstm = BiLstm(m["input_dim"], m["hidden_dim"], rng=rng)
+        d_t, d_a = m["d_model"], 2 * m["hidden_dim"]
+        if multi_head:
+            fusion = MultiHeadFusion(d_t, d_a, m["fusion_dim"], m["fusion_heads"], rng=rng)
         else:
-            fusion = FusionParams(d_t, d_a, int(m["fusion_dim"]), rng=rng)
-        head = ClassifierHead(int(m["fusion_dim"]), rng=rng)
+            fusion = FusionParams(d_t, d_a, m["fusion_dim"], rng=rng)
+        head = ClassifierHead(m["fusion_dim"], rng=rng)
         model = cls(encoder, bilstm, fusion, head)
         _assign_blocks(model.named_parameters(), ckpt.arrays, source)
         return model

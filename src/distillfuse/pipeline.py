@@ -401,6 +401,12 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
                     )
         else:
             probs = _batch_probs(model, batch)
+        bad = ~np.isfinite(probs).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"{ckpt_path}: non-finite probability for participant "
+                f"{batch.ids[int(np.argmax(bad))]} on split {split!r}"
+            )
         preds.append(probs.argmax(axis=1))
         scores.append(probs[:, 1])
         labels.append(batch.labels)

@@ -46,15 +46,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _accum(t: "Tensor", g: np.ndarray) -> None:
+    """Add ``g`` (shaped like ``t``) into ``t.grad``.
+
+    The first write stores a copy of ``g``: callers may pass the same array to
+    several parents, or a read-only broadcast view, so ``t`` must never keep
+    ``g`` itself. The copy is C order whatever ``g``'s layout; keeping an
+    F-ordered layout sends it into BLAS on a different path and changes the
+    last bits of results. Later writes add in place into the buffer ``t``
+    owns.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
     t._grad_seen = True
 
 
 def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
     out = Tensor(data)
-    live = tuple(p for p in parents if p.requires_grad)
+    live = [p for p in parents if p.requires_grad]
     if live:
         out.requires_grad = True
         out._parents = live
@@ -63,6 +73,8 @@ def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor"
 
 
 def _bcast_check(a: "Tensor", b: "Tensor", opname: str) -> None:
+    if a.data.shape == b.data.shape:
+        return
     try:
         np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
@@ -85,7 +97,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: list[Tensor] | tuple[()] = ()
         self._backward = None
         self._grad_seen = False
 
@@ -126,21 +138,25 @@ class Tensor:
             raise RuntimeError(
                 f"backward requires a scalar tensor, got shape {self.data.shape}"
             )
+        # Iterative post-order DFS. A None on the stack marks that the node
+        # below it has had all its parents expanded and goes into ``order``.
         order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        visited: set[Tensor] = set()
+        stack: list[Tensor | None] = [self]
+        push, pop = stack.append, stack.pop
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
+            node = pop()
+            if node is None:
+                order.append(pop())
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visited.add(node)
+            push(node)
+            push(None)
             for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+                if p not in visited:
+                    push(p)
         self.grad = np.ones_like(self.data)
         self._grad_seen = True
         for node in reversed(order):
@@ -239,12 +255,13 @@ class Tensor:
             raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} @ {b.shape}")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-        try:
-            np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        except ValueError:
-            raise ShapeError(
-                f"matmul: batch dimensions do not broadcast, {a.shape} @ {b.shape}"
-            ) from None
+        if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+            try:
+                np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+            except ValueError:
+                raise ShapeError(
+                    f"matmul: batch dimensions do not broadcast, {a.shape} @ {b.shape}"
+                ) from None
         out = a @ b
 
         def backward(g, ta=self, tb=other):
@@ -316,7 +333,7 @@ class Tensor:
             gg = np.asarray(g)
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).astype(np.float64))
+            _accum(a, np.broadcast_to(gg, a.data.shape))
 
         return _make(np.asarray(out), (self,), backward)
 
@@ -330,7 +347,7 @@ class Tensor:
             gg = np.asarray(g) / count
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).astype(np.float64))
+            _accum(a, np.broadcast_to(gg, a.data.shape))
 
         return _make(np.asarray(out), (self,), backward)
 
@@ -364,13 +381,34 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         out = self.data[key]
 
-        def backward(g, a=self, key=key):
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                np.add.at(buf, key, g)
-                _accum(a, buf)
+        if _is_basic_key(key):
+            # A basic key addresses each element at most once: add in place.
+            def backward(g, a=self, key=key):
+                if a.requires_grad:
+                    if a.grad is None:
+                        a.grad = np.zeros_like(a.data)
+                    a.grad[key] += g
+                    a._grad_seen = True
+        else:
+            def backward(g, a=self, key=key):
+                if a.requires_grad:
+                    buf = np.zeros_like(a.data)
+                    np.add.at(buf, key, g)
+                    _accum(a, buf)
 
         return _make(np.asarray(out), (self,), backward)
+
+
+def _is_basic_key(key) -> bool:
+    """True for keys numpy treats as basic indexing: slices, integers (not
+    bools), ``None`` and ``Ellipsis``, alone or in a tuple."""
+    for k in key if isinstance(key, tuple) else (key,):
+        if k is None or k is Ellipsis or isinstance(k, slice):
+            continue
+        if isinstance(k, (int, np.integer)) and not isinstance(k, bool):
+            continue
+        return False
+    return True
 
 
 def _axis_count(shape: tuple[int, ...], axis) -> int:

@@ -6,6 +6,7 @@ code 1, config-file/flag precedence, and the resolved-config artifact.
 import numpy as np
 import pytest
 
+from distillfuse.checkpoint import load_checkpoint, save_checkpoint
 from distillfuse.cli import main
 from distillfuse.config import parse_config_file
 
@@ -147,6 +148,20 @@ class TestErrorPaths:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "magic" in capsys.readouterr().err
+
+    def test_checkpoint_missing_meta_key_reports_error(self, prepared, tmp_path, capsys):
+        ckpt = load_checkpoint(prepared["audio_ckpt"])
+        del ckpt.meta["hidden_dim"]
+        path = tmp_path / "no_hidden.ckpt"
+        save_checkpoint(path, ckpt)
+        rc = main(["evaluate", *TINY,
+                   "--features-dir", str(prepared["feats"]),
+                   "--checkpoint", str(path),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "no_hidden.ckpt: missing meta key 'hidden_dim'" in err
 
     def test_missing_data_dir_reports_error(self, tmp_path, capsys):
         rc = main(["preprocess", *TINY,

@@ -3,6 +3,8 @@ checkpoint round-trips with bit-exact predictions, quantized audio teacher
 storage, and the attention-weight surface.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from distillfuse.models import (
     quantize_model,
     quantized_storage_bytes,
 )
-from distillfuse.quant import dequantize
+from distillfuse.quant import QuantizedMatrix, QuantParams, dequantize
 
 
 def _tiny_cfg(**kw):
@@ -239,3 +241,68 @@ class TestDispatch:
         ckpt.arrays["wx_f"] = np.zeros((2, 2))
         with pytest.raises(CheckpointError, match="shape"):
             model_from_checkpoint(ckpt)
+
+
+class TestCheckpointValidation:
+    # Meta keys each kind's from_checkpoint reads to rebuild the model.
+    REQUIRED_META = {
+        "text-teacher": ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
+                         "max_len", "lora_rank", "lora_alpha"),
+        "audio-teacher": ("input_dim", "hidden_dim"),
+        "student": ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len",
+                    "input_dim", "hidden_dim", "fusion_dim", "multi_head", "fusion_heads"),
+    }
+
+    @staticmethod
+    def _model(kind):
+        cfg = _tiny_cfg()
+        return {
+            "text-teacher": lambda: TextTeacherModel.build(12, cfg),
+            "audio-teacher": lambda: AudioTeacherModel.build(cfg),
+            "student": lambda: StudentModel.build(12, cfg),
+        }[kind]()
+
+    @staticmethod
+    def _save(path, ckpt, meta):
+        from distillfuse.checkpoint import Checkpoint
+
+        save_checkpoint(path, Checkpoint(ckpt.kind, meta, ckpt.arrays, ckpt.quantized))
+        return path
+
+    @pytest.mark.parametrize("kind", sorted(REQUIRED_META))
+    def test_missing_meta_key_names_file_and_key(self, tmp_path, kind):
+        ckpt = self._model(kind).to_checkpoint()
+        assert set(self.REQUIRED_META[kind]) <= set(ckpt.meta)
+        for key in self.REQUIRED_META[kind]:
+            meta = {k: v for k, v in ckpt.meta.items() if k != key}
+            path = self._save(tmp_path / f"{key}.ckpt", ckpt, meta)
+            with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: missing meta key '{key}'"):
+                load_model(path)
+
+    @pytest.mark.parametrize("kind", sorted(REQUIRED_META))
+    def test_unparseable_meta_value_names_file_and_key(self, tmp_path, kind):
+        ckpt = self._model(kind).to_checkpoint()
+        for key in self.REQUIRED_META[kind]:
+            meta = dict(ckpt.meta, **{key: "4.5x"})
+            path = self._save(tmp_path / f"{key}.ckpt", ckpt, meta)
+            with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: meta key '{key}'"):
+                load_model(path)
+
+    @pytest.mark.parametrize("kind", sorted(REQUIRED_META))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, tmp_path, kind, bad):
+        ckpt = self._model(kind).to_checkpoint()
+        ckpt.arrays["head.w"][0, 1] = bad
+        path = self._save(tmp_path / "bad.ckpt", ckpt, ckpt.meta)
+        with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: block 'head.w'"):
+            load_model(path)
+
+    def test_non_finite_quantized_block_rejected(self, tmp_path):
+        model = quantize_model(AudioTeacherModel.build(_tiny_cfg()))
+        ckpt = model.to_checkpoint()
+        qm = ckpt.quantized["wh_b"]
+        ckpt.quantized["wh_b"] = QuantizedMatrix(
+            qm.values, QuantParams(np.nan, qm.params.zero_point, qm.params.scheme))
+        path = self._save(tmp_path / "bad_q.ckpt", ckpt, ckpt.meta)
+        with pytest.raises(CheckpointError, match="block 'wh_b'"):
+            load_model(path)

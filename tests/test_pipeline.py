@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+from distillfuse.checkpoint import load_checkpoint, save_checkpoint
 from distillfuse.config import RunConfig
 from distillfuse.data import synth_generate
 from distillfuse.models import (
@@ -303,6 +304,24 @@ class TestEvaluateModel:
                 hits += int(p.argmax(axis=1)[0] == ex.label)
                 n += 1
         assert 0.35 <= hits / n <= 0.65
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_probability_raises_before_writing(self, workspace,
+                                                          teacher_ckpts, tmp_path):
+        # finite weights whose logits overflow: saturated gates drive every
+        # hidden state to ~1, so both logits are +inf and softmax gives NaN
+        _, audio_ckpt = teacher_ckpts
+        ckpt = load_checkpoint(audio_ckpt)
+        for name in ("b_f", "b_b"):
+            ckpt.arrays[name] = np.full_like(ckpt.arrays[name], 50.0)
+        ckpt.arrays["head.w"] = np.full_like(ckpt.arrays["head.w"], 1e308)
+        path = tmp_path / "overflow.ckpt"
+        save_checkpoint(path, ckpt)
+        out = tmp_path / "eval"
+        with pytest.raises(ValueError, match=r"overflow\.ckpt: non-finite probability"):
+            evaluate_model(workspace.cfg, path, workspace.features, "test", out)
+        assert not (out / "metrics.txt").exists()
+        assert not (out / "roc.csv").exists()
 
     def test_eval_is_deterministic(self, workspace, teacher_ckpts, tmp_path):
         _, audio_ckpt = teacher_ckpts

@@ -149,6 +149,93 @@ def test_getitem_slice_grad():
     check_grads(lambda x: (x[1:3, ::2] ** 2.0).sum(), [a])
 
 
+BASIC_KEYS = [
+    (slice(None), 1),
+    np.int64(1),
+    (0, slice(None, None, -1)),
+    (None, Ellipsis, slice(1, 3)),
+    (Ellipsis, -1),
+    (slice(None), slice(0, 2), None, 3),
+    (1, slice(2, 0, -1), slice(None, None, 2)),
+]
+
+
+@pytest.mark.parametrize("leaf", [Tensor, Parameter])
+def test_overlapping_basic_slices_accumulate(leaf):
+    # each key reads an overlapping region; backward adds into the slices of
+    # one buffer, so compare against scatters into a zero array
+    rng = np.random.default_rng(30)
+    data = rng.normal(size=(2, 3, 4))
+    weights = [rng.normal(size=data[k].shape) for k in BASIC_KEYS]
+    for through_node in (False, True):
+        t = leaf(data.copy()) if leaf is Parameter else leaf(data.copy(), requires_grad=True)
+        src = t * 1.0 if through_node else t
+        loss = None
+        for k, w in zip(BASIC_KEYS, weights):
+            term = (src[k] * w).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+        want = np.zeros_like(data)
+        for k, w in zip(BASIC_KEYS, weights):
+            np.add.at(want, k, w)
+        np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
+        if through_node:
+            np.testing.assert_allclose(src.grad, want, rtol=0, atol=1e-12)
+
+
+def test_getitem_advanced_keys_scatter_repeats():
+    data = np.arange(12.0).reshape(3, 4)
+    cases = [
+        (np.array([[True, False, True, False]] * 3), np.where(data % 2 == 0, 1.0, 0.0)),
+        ((slice(None), [1, 1, 3]), np.tile([0.0, 2.0, 0.0, 1.0], (3, 1))),
+        (([0, 0, 2], [3, 3, 1]), np.array([[0, 0, 0, 2.0], [0] * 4, [0, 1.0, 0, 0]])),
+        (np.array([2, 2, 2]), np.array([[0.0] * 4, [0.0] * 4, [3.0] * 4])),
+        (True, np.ones((3, 4))),
+    ]
+    for key, want in cases:
+        t = Tensor(data, requires_grad=True)
+        t[key].sum().backward()
+        np.testing.assert_array_equal(t.grad, want)
+
+
+def test_shared_upstream_gradient_is_never_mutated():
+    # add hands the same g to both parents; the first write must copy it
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    y = x + x
+    (y * np.array([1.0, 10.0, 100.0])).sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 20.0, 200.0])
+    np.testing.assert_array_equal(y.grad, [1.0, 10.0, 100.0])
+    assert not np.shares_memory(x.grad, y.grad)
+
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = x * 3.0
+    z = y * y + y
+    z.sum().backward()
+    np.testing.assert_array_equal(z.grad, [1.0, 1.0])
+    np.testing.assert_allclose(y.grad, 2.0 * y.data + 1.0)
+    np.testing.assert_allclose(x.grad, 3.0 * (2.0 * y.data + 1.0))
+
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=True)
+    (a + b).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    (a * 5.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_grad_through_transposed_view_matches_finite_differences():
+    # the transposed node's data is a non-C-order view; its gradient buffer
+    # is written by copy, by add, and by an in-place slice update
+    def fn(x, v):
+        xt = x.transpose()
+        return ((xt @ v).tanh().sum() + (xt * xt).sum()
+                + (xt[1:, ::-2] ** 2.0).sum() + xt[..., 0].sum())
+
+    rng = np.random.default_rng(31)
+    check_grads(fn, [rng.normal(size=(5, 3)), rng.normal(size=(5, 2))])
+
+
 # ------------------------------------------------------- matmul
 
 
@@ -180,6 +267,34 @@ def test_matmul_requires_2d():
 def test_matmul_batch_broadcast_mismatch():
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 3, 4))) @ Tensor(np.ones((3, 4, 5)))
+
+
+@pytest.mark.parametrize("a, b", [
+    ((2, 1, 3, 4), (5, 3, 4, 2)),
+    ((4, 2, 3), (2, 3, 3, 1)),
+])
+def test_matmul_batch_broadcast_mismatch_names_batch_dims(a, b):
+    with pytest.raises(ShapeError, match="batch dimensions"):
+        Tensor(np.ones(a)) @ Tensor(np.ones(b))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ((2, 3, 4), (4, 5), (2, 3, 5)),
+    ((3, 4), (2, 4, 5), (2, 3, 5)),
+    ((2, 1, 3, 4), (5, 4, 2), (2, 5, 3, 2)),
+    ((2, 3, 4), (2, 4, 1), (2, 3, 1)),
+])
+def test_matmul_batch_shapes_that_broadcast(a, b, want):
+    assert (Tensor(np.ones(a)) @ Tensor(np.ones(b))).shape == want
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+def test_elementwise_shape_mismatch(op):
+    for a, b in [((2, 3), (3, 2)), ((4,), (5,)), ((2, 3, 4), (2, 1))]:
+        with pytest.raises(ShapeError, match="do not broadcast"):
+            getattr(Tensor(np.ones(a)), op)(Tensor(np.ones(b)))
+    for a, b in [((2, 3), (2, 3)), ((2, 3), (3,)), ((2, 1), (1, 4)), ((), (2, 2))]:
+        assert getattr(Tensor(np.ones(a)), op)(Tensor(np.ones(b))).shape == np.broadcast_shapes(a, b)
 
 
 # ------------------------------------------------------- module functions
