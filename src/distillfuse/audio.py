@@ -8,6 +8,7 @@ windowed-sinc FIR, trim silence with a frame-energy gate, then extract MFCCs
 
 from __future__ import annotations
 
+import functools
 import struct
 import wave
 from dataclasses import dataclass
@@ -135,32 +136,34 @@ class VadConfig:
 def vad_segments(w: WaveForm, cfg: VadConfig | None = None) -> list[tuple[int, int]]:
     """Frame-energy voice activity: sample-index segments whose frame RMS
     exceeds ratio * max frame RMS. Scale-invariant; all-zero input yields [].
+
+    Frames start every hop samples; the last few run past the clip's end and
+    are measured over the samples that remain.
     """
     cfg = cfg or VadConfig()
-    n = w.samples.size
+    x = w.samples
+    n = x.size
     frame = max(1, int(round(cfg.frame_ms * w.sample_rate / 1000.0)))
     hop = max(1, int(round(cfg.hop_ms * w.sample_rate / 1000.0)))
-    starts = list(range(0, n, hop))
-    rms = np.empty(len(starts))
-    for k, s in enumerate(starts):
-        seg = w.samples[s : min(s + frame, n)]
-        rms[k] = np.sqrt(np.mean(seg * seg))
+    n_frames = -(-n // hop)
+    n_full = (n - frame) // hop + 1 if n >= frame else 0
+    mean_sq = np.empty(n_frames)
+    if n_full:
+        windows = np.lib.stride_tricks.sliding_window_view(x * x, frame)[::hop]
+        mean_sq[:n_full] = windows.mean(axis=1)
+    for k in range(n_full, n_frames):
+        seg = x[k * hop :]
+        mean_sq[k] = np.mean(seg * seg)
+    rms = np.sqrt(mean_sq)
     peak = rms.max()
     if peak == 0.0:
         return []
     voiced = rms > cfg.energy_threshold_ratio * peak
-    segments: list[tuple[int, int]] = []
-    k = 0
-    while k < len(starts):
-        if not voiced[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 < len(starts) and voiced[j + 1]:
-            j += 1
-        segments.append((starts[k], min(starts[j] + frame, n)))
-        k = j + 1
-    return segments
+    edges = np.diff(voiced.astype(np.int8), prepend=0, append=0)
+    first = np.flatnonzero(edges == 1)
+    last = np.flatnonzero(edges == -1) - 1
+    ends = np.minimum(last * hop + frame, n)
+    return list(zip((first * hop).tolist(), ends.tolist()))
 
 
 def hz_to_mel(f):
@@ -216,24 +219,41 @@ class FeatureSequence:
 def mel_filterbank(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
     """Triangular mel filters evaluated at the rfft bin centers.
 
-    Returns an (n_mels, n_fft // 2 + 1) weight matrix; triangle j rises from
-    mel point j to j+1 and falls to j+2, with the n_mels + 2 points spaced
-    uniformly in mel between fmin and fmax.
+    Returns a read-only (n_mels, n_fft // 2 + 1) weight matrix; triangle j
+    rises from mel point j to j+1 and falls to j+2, with the n_mels + 2 points
+    spaced uniformly in mel between fmin and fmax. Built once per distinct
+    (n_fft, n_mels, fmin, fmax, sample_rate).
     """
     if cfg.fmax > sample_rate / 2.0:
         raise ValueError(f"fmax {cfg.fmax} exceeds Nyquist {sample_rate / 2.0}")
-    mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    return _mel_filterbank(cfg.n_fft, cfg.n_mels, cfg.fmin, cfg.fmax, sample_rate)
+
+
+# MfccConfig is an unhashable dataclass, so the caches key on its fields. The
+# arrays are shared by every caller and are therefore returned read-only.
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _mel_filterbank(n_fft: int, n_mels: int, fmin: float, fmax: float,
+                    sample_rate: int) -> np.ndarray:
+    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * sample_rate / cfg.n_fft
-    fb = np.zeros((cfg.n_mels, bin_freqs.size))
-    for j in range(cfg.n_mels):
+    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+    fb = np.zeros((n_mels, bin_freqs.size))
+    for j in range(n_mels):
         left, center, right = hz_points[j], hz_points[j + 1], hz_points[j + 2]
         up = (bin_freqs - left) / (center - left)
         down = (right - bin_freqs) / (right - center)
         fb[j] = np.maximum(0.0, np.minimum(up, down))
-    return fb
+    return _read_only(fb)
 
 
+@functools.lru_cache(maxsize=32)
 def _dct_ii_matrix(n_coeffs: int, n_mels: int) -> np.ndarray:
     # orthonormal DCT-II: row i, column j = s_i * cos(pi * i * (2j + 1) / (2 J))
     j = np.arange(n_mels)
@@ -241,7 +261,12 @@ def _dct_ii_matrix(n_coeffs: int, n_mels: int) -> np.ndarray:
     mat = np.cos(np.pi * i * (2.0 * j + 1.0) / (2.0 * n_mels))
     mat[0] *= np.sqrt(1.0 / n_mels)
     mat[1:] *= np.sqrt(2.0 / n_mels)
-    return mat
+    return _read_only(mat)
+
+
+@functools.lru_cache(maxsize=32)
+def _hamming(n: int) -> np.ndarray:
+    return _read_only(np.hamming(n))
 
 
 def mfcc_extract(w: WaveForm, cfg: MfccConfig | None = None) -> FeatureSequence:
@@ -255,8 +280,7 @@ def mfcc_extract(w: WaveForm, cfg: MfccConfig | None = None) -> FeatureSequence:
     if n < cfg.n_fft:
         raise ValueError(f"input of {n} samples is shorter than one window ({cfg.n_fft})")
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, cfg.n_fft)[:: cfg.hop]
-    window = np.hamming(cfg.n_fft)
-    mag = np.abs(np.fft.rfft(frames * window, axis=1))
+    mag = np.abs(np.fft.rfft(frames * _hamming(cfg.n_fft), axis=1))
     fb = mel_filterbank(cfg, w.sample_rate)
     energies = mag @ fb.T
     log_e = np.log(np.maximum(energies, cfg.log_floor))

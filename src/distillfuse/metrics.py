@@ -111,11 +111,15 @@ def compute_metrics(preds, labels) -> MetricsReport:
 
 def roc_auc(scores, labels) -> tuple[RocCurve, float]:
     """Threshold-sweep ROC over the distinct scores (ties grouped) and its
-    trapezoidal area. Undefined when only one class is present."""
+    trapezoidal area. Undefined when only one class is present; a NaN or
+    infinite score raises, since it has no rank."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = _validate_binary(labels, "labels")
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise ValueError(f"scores and labels lengths differ: {scores.shape} vs {labels.shape}")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"score at index {bad[0]} is {scores[bad[0]]}, not finite")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -61,6 +61,7 @@ from .models import (
 from .optim import PlateauScheduler, make_optimizer
 from .text import encode, build_vocab, load_vocab, parse_and_filter_transcript, save_vocab
 from .checkpoint import save_checkpoint
+from .tensor import no_grad
 
 logger = logging.getLogger(__name__)
 
@@ -186,11 +187,12 @@ def _vocab_size(features_dir) -> int:
 
 
 def _batch_probs(model, batch: Batch) -> np.ndarray:
-    if isinstance(model, TextTeacherModel):
-        return model.predict_probs(batch.token_ids, batch.mask)
-    if isinstance(model, AudioTeacherModel):
-        return model.predict_probs(batch.mfcc)
-    return model.predict_probs(batch.token_ids, batch.mask, batch.mfcc)
+    with no_grad():
+        if isinstance(model, TextTeacherModel):
+            return model.predict_probs(batch.token_ids, batch.mask)
+        if isinstance(model, AudioTeacherModel):
+            return model.predict_probs(batch.mfcc)
+        return model.predict_probs(batch.token_ids, batch.mask, batch.mfcc)
 
 
 def _split_loss_acc(model, examples: list[Example], batch_size: int) -> tuple[float, float]:
@@ -392,7 +394,8 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
     attention_rows = []
     for batch in make_batches(examples, cfg.batch_size):
         if isinstance(model, StudentModel):
-            logits, weights = model.forward_with_attention(batch.token_ids, batch.mask, batch.mfcc)
+            with no_grad():
+                logits, weights = model.forward_with_attention(batch.token_ids, batch.mask, batch.mfcc)
             probs = softmax_np(logits.data, axis=-1)
             for i, pid in enumerate(batch.ids):
                 for h in range(weights.shape[1]):

@@ -5,10 +5,14 @@ records a backward closure; ``Tensor.backward()`` walks the recorded graph in
 reverse topological order and accumulates gradients into the leaves. All math
 runs on row-major numpy float64 arrays. Operations where no operand requires a
 gradient skip the tape entirely, so inference through frozen models allocates
-no graph.
+no graph. Inference through trainable models runs under ``no_grad()``, which
+skips the tape for every operation its thread runs until the block exits.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,6 +24,7 @@ __all__ = [
     "clamp_min",
     "concat",
     "embedding",
+    "no_grad",
     "softmax",
 ]
 
@@ -62,8 +67,30 @@ def _accum(t: "Tensor", g: np.ndarray) -> None:
     t._grad_seen = True
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no tape in this thread inside the block: every op returns a
+    tensor with no parents and ``requires_grad=False``. Nests; the previous
+    mode returns when the block exits, by exception too."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
     out = Tensor(data)
+    if not _grad_mode.enabled:
+        return out
     live = [p for p in parents if p.requires_grad]
     if live:
         out.requires_grad = True

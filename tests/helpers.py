@@ -1,4 +1,5 @@
-"""Shared test utilities: central finite-difference gradient checking.
+"""Shared test utilities: central finite-difference gradient checking and
+reference implementations that vectorized code is compared against.
 
 The numeric gradient is an independent oracle for every analytic backward
 pass in the package: perturb one input coordinate at a time by +-h and take
@@ -7,6 +8,7 @@ the centered difference of the scalar output.
 
 import numpy as np
 
+from distillfuse.audio import VadConfig, WaveForm
 from distillfuse.tensor import Tensor
 
 FD_H = 1e-5
@@ -60,3 +62,32 @@ def check_grads(fn, arrays, tol: float = FD_TOL, h: float = FD_H) -> float:
         assert err < tol, f"input {i}: analytic vs numeric rel err {err:.3e} >= {tol}"
         worst = max(worst, err)
     return worst
+
+
+def vad_segments_reference(w: WaveForm, cfg: VadConfig) -> list[tuple[int, int]]:
+    """Frame-by-frame energy VAD: one frame's RMS per iteration, then a scan
+    for runs of voiced frames. The oracle for ``audio.vad_segments``."""
+    n = w.samples.size
+    frame = max(1, int(round(cfg.frame_ms * w.sample_rate / 1000.0)))
+    hop = max(1, int(round(cfg.hop_ms * w.sample_rate / 1000.0)))
+    starts = list(range(0, n, hop))
+    rms = np.empty(len(starts))
+    for k, s in enumerate(starts):
+        seg = w.samples[s : min(s + frame, n)]
+        rms[k] = np.sqrt(np.mean(seg * seg))
+    peak = rms.max()
+    if peak == 0.0:
+        return []
+    voiced = rms > cfg.energy_threshold_ratio * peak
+    segments: list[tuple[int, int]] = []
+    k = 0
+    while k < len(starts):
+        if not voiced[k]:
+            k += 1
+            continue
+        j = k
+        while j + 1 < len(starts) and voiced[j + 1]:
+            j += 1
+        segments.append((starts[k], min(starts[j] + frame, n)))
+        k = j + 1
+    return segments

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from distillfuse import audio
 from distillfuse.audio import (
     FEATURE_MAGIC,
     FeatureSequence,
@@ -29,6 +30,7 @@ from distillfuse.audio import (
     vad_segments,
     write_wav,
 )
+from helpers import vad_segments_reference
 
 
 def _sine(freq, rate, seconds, amp=0.5):
@@ -198,6 +200,35 @@ def test_vad_whole_clip_voiced():
     assert segs and segs[0][0] == 0 and segs[-1][1] == w.samples.size
 
 
+# The 8 kHz default config frames 200 samples every 80.
+@pytest.mark.parametrize("samples", [
+    np.full(150, 0.3),                                    # n < frame
+    np.full(200, 0.3),                                    # n == frame
+    np.random.default_rng(32).normal(size=801),           # one past a hop boundary
+    np.zeros(4000),                                       # all zero
+    np.concatenate([np.zeros(2000), np.full(1234, 0.5)]),  # voiced to the last sample
+    np.concatenate([np.full(500, 0.5), np.zeros(1500), np.full(700, 0.2)]),
+], ids=["short", "one-frame", "hop-plus-one", "zeros", "voiced-tail", "two-runs"])
+def test_vad_matches_frame_loop_reference_on_edge_cases(samples):
+    w = WaveForm(samples, 8000)
+    for cfg in (VadConfig(), VadConfig(frame_ms=10.0, hop_ms=10.0)):  # hop < frame, hop == frame
+        assert vad_segments(w, cfg) == vad_segments_reference(w, cfg)
+
+
+def test_vad_matches_frame_loop_reference_on_random_clips():
+    rng = np.random.default_rng(33)
+    for rate in (8000, 16000, 44100):
+        for _ in range(100):
+            n = int(rng.integers(1, rate // 2))
+            gate = np.repeat(rng.random(-(-n // 256)) < 0.5, 256)[:n]
+            x = rng.normal(size=n) * np.where(gate, 1.0, rng.uniform(0.0, 0.2))
+            hop_ms = float(rng.uniform(1.0, 15.0))
+            cfg = VadConfig(frame_ms=hop_ms * float(rng.uniform(1.0, 3.0)), hop_ms=hop_ms,
+                            energy_threshold_ratio=float(rng.uniform(0.05, 0.9)))
+            w = WaveForm(x, rate)
+            assert vad_segments(w, cfg) == vad_segments_reference(w, cfg), (rate, n, cfg)
+
+
 def test_vad_config_validation():
     with pytest.raises(ValueError):
         VadConfig(frame_ms=5.0, hop_ms=10.0, energy_threshold_ratio=0.1)
@@ -226,8 +257,19 @@ def test_filterbank_shape_and_triangle_support():
 
 
 def test_filterbank_fmax_beyond_nyquist_rejected():
-    with pytest.raises(ValueError):
-        mel_filterbank(MfccConfig(fmax=9000.0), 16000)
+    for _ in range(2):  # a raise is never cached as a result
+        with pytest.raises(ValueError):
+            mel_filterbank(MfccConfig(fmax=9000.0), 16000)
+
+
+def test_cached_filterbank_and_dct_are_read_only():
+    cfg = MfccConfig()
+    fb = mel_filterbank(cfg, 16000)
+    assert mel_filterbank(MfccConfig(), 16000) is fb
+    dct = audio._dct_ii_matrix(cfg.n_coeffs, cfg.n_mels)
+    for shared in (fb, dct, audio._hamming(cfg.n_fft)):
+        with pytest.raises(ValueError):
+            shared[0, ...] = 1.0
 
 
 # ------------------------------------------------------------- MFCC oracle

@@ -190,6 +190,17 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="lengths differ"):
             roc_auc([0.1, 0.9, 0.5], [0, 1])
 
+    @pytest.mark.parametrize("scores, index", [
+        ([np.nan, 0.9, 0.1, 0.4], 0),  # on a positive: used to give 0.5
+        ([0.8, 0.9, np.nan, 0.4], 2),  # on a negative: used to give 1.0
+        ([0.8, np.inf, 0.1, 0.4], 1),
+        ([0.8, 0.9, 0.1, -np.inf], 3),
+        ([0.8, np.nan, -np.inf, 0.4], 1),  # the first bad index is named
+    ])
+    def test_non_finite_score_rejected(self, scores, index):
+        with pytest.raises(ValueError, match=f"index {index} "):
+            roc_auc(scores, [1, 1, 0, 0])
+
     def test_curve_shape_validation(self):
         with pytest.raises(ValueError, match="points"):
             RocCurve(np.zeros((3, 2)))

@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+from distillfuse import pipeline, tensor
 from distillfuse.checkpoint import load_checkpoint, save_checkpoint
 from distillfuse.config import RunConfig
 from distillfuse.data import synth_generate
@@ -322,6 +323,32 @@ class TestEvaluateModel:
             evaluate_model(workspace.cfg, path, workspace.features, "test", out)
         assert not (out / "metrics.txt").exists()
         assert not (out / "roc.csv").exists()
+
+    def test_inference_records_no_tape_and_leaves_grads(self, workspace, teacher_ckpts,
+                                                        tmp_path, monkeypatch):
+        cfg = workspace.cfg
+        student = StudentModel.build(load_vocab(workspace.features / "vocab.txt").size, cfg)
+        params = student.trainable_parameters()
+        for i, p in enumerate(params):
+            p.grad[...] = i + 0.5
+        made = []
+        make = tensor._make
+
+        def counting_make(*args):
+            out = make(*args)
+            made.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(tensor, "_make", counting_make)
+        val = load_split_examples(cfg, workspace.features, "validation")
+        pipeline._split_loss_acc(student, val, cfg.batch_size)
+        ckpt = tmp_path / "student.ckpt"
+        save_checkpoint(ckpt, student.to_checkpoint())
+        for path in (ckpt, *teacher_ckpts):
+            evaluate_model(cfg, path, workspace.features, "test", tmp_path / path.stem)
+        assert made and not any(made)
+        for i, p in enumerate(params):
+            assert np.all(p.grad == i + 0.5) and p.requires_grad
 
     def test_eval_is_deterministic(self, workspace, teacher_ckpts, tmp_path):
         _, audio_ckpt = teacher_ckpts

@@ -1,6 +1,8 @@
 """Autodiff core: every op's backward pass against finite differences, plus
 shape/domain error contracts and graph-traversal behavior."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from distillfuse.tensor import (
     clamp_min,
     concat,
     embedding,
+    no_grad,
     softmax,
 )
 from helpers import check_grads, rel_err
@@ -376,6 +379,52 @@ def test_no_tape_when_nothing_requires_grad():
     c = a @ b + a
     assert c._parents == ()
     assert not c.requires_grad
+
+
+def _records(t: Tensor) -> bool:
+    return t.requires_grad and bool(t._parents)
+
+
+def test_no_grad_records_nothing_for_trainable_parameters():
+    w = Parameter(np.arange(6.0).reshape(2, 3) / 6.0)
+    v = Parameter(np.ones((3, 2)))
+    with no_grad():
+        outs = [w + 1.0, w * w, w @ v, (w @ v).sum(), w[:, 1:], w.tanh(), w.transpose(),
+                softmax(w), concat([w, w], axis=1), embedding(v, np.array([0, 2])),
+                clamp_min(w, 0.2)]
+    for out in outs:
+        assert out._parents == () and not out.requires_grad
+        assert out._backward is None
+    assert _records(w @ v)  # the same op records again outside the block
+
+
+def test_no_grad_restores_mode_after_exception_and_nesting():
+    w = Parameter(np.ones(2))
+    with pytest.raises(ShapeError):
+        with no_grad():
+            w + Tensor(np.ones(3))
+    assert _records(w * 2.0)
+    with no_grad():
+        with no_grad():
+            assert not _records(w * 2.0)
+        assert not _records(w * 2.0)  # the inner exit keeps the outer mode
+    assert _records(w * 2.0)
+
+
+def test_no_grad_is_per_thread():
+    w = Parameter(np.ones(2))
+    seen = {}
+
+    def worker():
+        seen["records"] = _records(w * 2.0)
+
+    with no_grad():
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join(timeout=10)
+        assert not _records(w * 2.0)
+    assert not t.is_alive()
+    assert seen["records"] is True
 
 
 def test_deep_chain_does_not_recurse():
