@@ -16,8 +16,10 @@ Any structural problem raises CheckpointError naming the byte offset.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -74,8 +76,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             )
         )
         parts.append(qm.values.tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    # Write beside the target and rename over it, so a write that fails
+    # midway leaves any earlier checkpoint at ``path`` as it was.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -10,6 +10,7 @@ comparable across temperatures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "cross_entropy",
     "distill_loss_tensors",
     "kl_divergence",
+    "require_finite_loss",
     "softmax_np",
     "student_train_step",
     "total_loss",
@@ -159,13 +161,23 @@ def one_hot(labels: np.ndarray, n_classes: int = 2) -> np.ndarray:
     return out
 
 
-def student_train_step(batch, teachers, student, cfg: DistillConfig, opt) -> LossBreakdown:
+def require_finite_loss(value: float, where: str) -> float:
+    """Return ``value``; raise FloatingPointError naming ``where`` if it is
+    NaN or infinite."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{where}: non-finite training loss {value!r}")
+    return value
+
+
+def student_train_step(batch, teachers, student, cfg: DistillConfig, opt,
+                       where: str = "student") -> LossBreakdown:
     """One optimizer step of the student against frozen teachers.
 
     ``teachers`` is (text_teacher, audio_teacher); their parameters receive no
     gradients (they are evaluated outside the tape). With alpha = 0 the
     teacher outputs scale the loss by exactly zero and cannot affect the
-    gradient.
+    gradient. A NaN or infinite loss raises FloatingPointError naming
+    ``where`` before any parameter changes.
     """
     n = batch.labels.shape[0]
     if batch.token_ids.shape[0] != n or batch.mfcc.shape[0] != n:
@@ -179,6 +191,7 @@ def student_train_step(batch, teachers, student, cfg: DistillConfig, opt) -> Los
     p_mix = combine_teacher_targets(p_text, p_audio, cfg.teacher_mix_beta)
     logits = student.forward_logits(batch.token_ids, batch.mask, batch.mfcc)
     loss, breakdown = distill_loss_tensors(p_mix, logits, one_hot(batch.labels), cfg)
+    require_finite_loss(breakdown.total, where)
     opt.zero_grad()
     loss.backward()
     opt.step()

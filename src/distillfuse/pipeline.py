@@ -9,8 +9,12 @@ same config and seed writes byte-identical metrics and ROC files.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +49,7 @@ from .distill import (
     LossBreakdown,
     ce_loss_tensor,
     one_hot,
+    require_finite_loss,
     softmax_np,
     student_train_step,
 )
@@ -95,6 +100,57 @@ def effective_threads(cfg: RunConfig) -> int:
     return max(1, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_thread_funcs(site=Path(np.__file__).parent.parent):
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS bundled in
+    numpy's wheel under ``site``, or None when there is none (MKL, conda, a
+    system BLAS) or it exports neither name pair."""
+    found = [*site.glob("numpy.libs/*openblas*"), *site.glob("numpy/.dylibs/*openblas*")]
+    for lib in sorted(found):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+# The thread count is process-wide: the first of overlapping callers saves it
+# and the last one out restores it.
+_blas_cap_lock = threading.Lock()
+_blas_cap = {"holders": 0, "saved": 0}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its
+    count. Does nothing when the library cannot be found."""
+    funcs = _blas_thread_funcs()
+    if funcs is None:
+        yield
+        return
+    get, set_ = funcs
+    with _blas_cap_lock:
+        if _blas_cap["holders"] == 0:
+            _blas_cap["saved"] = get()
+            set_(1)
+        _blas_cap["holders"] += 1
+    try:
+        yield
+    finally:
+        with _blas_cap_lock:
+            _blas_cap["holders"] -= 1
+            if _blas_cap["holders"] == 0:
+                set_(_blas_cap["saved"])
+
+
 # ------------------------------------------------------------- preprocess
 
 
@@ -129,7 +185,12 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
         feats = _audio_features(cfg, entry.audio_path)
         save_features(features_dir / f"{entry.participant_id}.dfmf", feats)
 
-    with ThreadPoolExecutor(max_workers=effective_threads(cfg)) as pool:
+    # Each clip's mel projection is large enough for OpenBLAS to start its own
+    # threads, which then fight the other workers for the same cores; one
+    # worker alone runs faster with them.
+    workers = effective_threads(cfg)
+    blas = _one_blas_thread() if workers > 1 else contextlib.nullcontext()
+    with blas, ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(one, entries))
 
     train_texts = []
@@ -207,6 +268,17 @@ def _split_loss_acc(model, examples: list[Example], batch_size: int) -> tuple[fl
     return ces / n, hits / n
 
 
+def _step(loss, opt, where: str) -> float:
+    """One optimizer step on a scalar loss, returning its value. A NaN or
+    infinite loss raises FloatingPointError naming ``where`` before any
+    parameter changes."""
+    value = require_finite_loss(loss.item(), where)
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return value
+
+
 def _write_log(path, header: str, rows: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
@@ -228,13 +300,10 @@ def train_text_teacher(cfg: RunConfig, features_dir, out_dir) -> Path:
     for epoch in range(1, cfg.epochs_text + 1):
         rng = rng_for(cfg.seed, f"text-teacher-epoch-{epoch}")
         losses = []
-        for batch in make_batches(train, cfg.batch_size, rng):
+        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
             loss = ce_loss_tensor(model.forward_logits(batch.token_ids, batch.mask),
                                   one_hot(batch.labels))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
+            losses.append(_step(loss, opt, f"text teacher, epoch {epoch}, batch {i}"))
         val_loss, val_acc = _split_loss_acc(model, val, cfg.batch_size)
         rows.append(f"{epoch},{float(np.mean(losses))!r},{val_loss!r},{val_acc!r},{opt.lr!r}")
     _write_log(out_dir / "text_teacher_log.csv", "epoch,train_loss,val_loss,val_accuracy,lr", rows)
@@ -258,12 +327,9 @@ def train_audio_teacher(cfg: RunConfig, features_dir, out_dir) -> Path:
     for epoch in range(1, cfg.epochs_audio + 1):
         rng = rng_for(cfg.seed, f"audio-teacher-epoch-{epoch}")
         losses = []
-        for batch in make_batches(train, cfg.batch_size, rng):
+        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
             loss = ce_loss_tensor(model.forward_logits(batch.mfcc), one_hot(batch.labels))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
+            losses.append(_step(loss, opt, f"audio teacher, epoch {epoch}, batch {i}"))
         val_loss, val_acc = _split_loss_acc(model, val, cfg.batch_size)
         opt.lr = sched.update(val_loss, opt.lr)
         rows.append(f"{epoch},{float(np.mean(losses))!r},{val_loss!r},{val_acc!r},{opt.lr!r}")
@@ -320,8 +386,9 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     for epoch in range(1, cfg.epochs_student + 1):
         rng = rng_for(cfg.seed, f"student-epoch-{epoch}")
         parts = []
-        for batch in make_batches(train, cfg.batch_size, rng):
-            parts.append(student_train_step(batch, teachers, student, dcfg, opt))
+        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
+            parts.append(student_train_step(batch, teachers, student, dcfg, opt,
+                                            where=f"student, epoch {epoch}, batch {i}"))
         kl = float(np.mean([b.kl_term for b in parts]))
         ce = float(np.mean([b.ce_term for b in parts]))
         total = float(np.mean([b.total for b in parts]))
@@ -352,12 +419,10 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
     opt = make_optimizer("adam", model.trainable_parameters(), cfg.lr_qat)
     for epoch in range(1, cfg.epochs_qat + 1):
         rng = rng_for(cfg.seed, f"qat-epoch-{epoch}")
-        for batch in make_batches(train, cfg.batch_size, rng):
+        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
             loss = ce_loss_tensor(model.forward_logits(batch.mfcc, transform),
                                   one_hot(batch.labels))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+            _step(loss, opt, f"QAT, epoch {epoch}, batch {i}")
     float_preds = _predictions(model, val, cfg.batch_size)
     quantize_model(model, cfg.quant_scheme)
     quant_preds = _predictions(model, val, cfg.batch_size)

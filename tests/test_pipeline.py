@@ -9,10 +9,11 @@ import types
 import numpy as np
 import pytest
 
-from distillfuse import pipeline, tensor
+from distillfuse import distill, pipeline, tensor
 from distillfuse.checkpoint import load_checkpoint, save_checkpoint
 from distillfuse.config import RunConfig
 from distillfuse.data import synth_generate
+from distillfuse.distill import LossBreakdown
 from distillfuse.models import (
     AudioTeacherModel,
     StudentModel,
@@ -152,6 +153,107 @@ class TestPreprocess:
                 == (workspace.features / "vocab.txt").read_bytes())
 
 
+class _FakeBlas:
+    """A stand-in get/set thread-count pair that logs every set."""
+
+    def __init__(self, n=4):
+        self.n = n
+        self.sets = []
+
+    def get(self):
+        return self.n
+
+    def set(self, n):
+        self.sets.append(n)
+        self.n = n
+
+
+def _record_blas_counts(monkeypatch, get, fail_on=None):
+    """Wrap pipeline.mfcc_extract to log the BLAS thread count each clip
+    sees; the ``fail_on``-th clip raises instead."""
+    seen = []
+    real = pipeline.mfcc_extract
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        if len(seen) == fail_on:
+            raise RuntimeError("clip failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "mfcc_extract", recording)
+    return seen
+
+
+class TestBlasThreadCap:
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        blas = _FakeBlas()
+        monkeypatch.setattr(pipeline, "_blas_thread_funcs", lambda: (blas.get, blas.set))
+        return blas
+
+    def test_pool_runs_clips_on_one_blas_thread(self, workspace, fake, monkeypatch,
+                                                tmp_path):
+        assert workspace.cfg.threads == 2
+        seen = _record_blas_counts(monkeypatch, fake.get)
+        preprocess(workspace.cfg, workspace.data, tmp_path / "f")
+        assert len(seen) == len(workspace.manifest.entries)
+        assert set(seen) == {1}
+        assert fake.sets == [1, 4] and fake.n == 4
+
+    def test_count_restored_when_a_worker_raises(self, workspace, fake, monkeypatch,
+                                                 tmp_path):
+        _record_blas_counts(monkeypatch, fake.get, fail_on=3)
+        with pytest.raises(RuntimeError, match="clip failed"):
+            preprocess(workspace.cfg, workspace.data, tmp_path / "f")
+        assert fake.sets == [1, 4] and fake.n == 4
+
+    def test_one_worker_keeps_blas_threads(self, workspace, fake, monkeypatch, tmp_path):
+        seen = _record_blas_counts(monkeypatch, fake.get)
+        cfg1 = dataclasses.replace(workspace.cfg, threads=1)
+        preprocess(cfg1, workspace.data, tmp_path / "f")
+        assert fake.sets == []
+        assert set(seen) == {4}
+
+    def test_overlapping_callers_restore_once_the_last_leaves(self, fake):
+        # two preprocess calls in different threads: the first to start
+        # finishes first, while the second still runs its pool
+        first, second = pipeline._one_blas_thread(), pipeline._one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert fake.n == 1
+        second.__exit__(None, None, None)
+        assert fake.sets == [1, 4] and fake.n == 4
+
+    def test_preprocess_without_a_library(self, workspace, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "_blas_thread_funcs", lambda: None)
+        feats = tmp_path / "f"
+        preprocess(workspace.cfg, workspace.data, feats)
+        for p in sorted(workspace.features.glob("*.dfmf")):
+            assert (feats / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_loader_finds_no_library(self, tmp_path):
+        assert pipeline._blas_thread_funcs(tmp_path / "empty") is None
+        junk = tmp_path / "junk"
+        (junk / "numpy.libs").mkdir(parents=True)
+        (junk / "numpy.libs" / "libscipy_openblas64_-junk.so").write_bytes(b"not a library")
+        assert pipeline._blas_thread_funcs(junk) is None
+
+    def test_real_library_capped_in_pool_and_restored(self, workspace, monkeypatch,
+                                                      tmp_path):
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+        funcs = pipeline._blas_thread_funcs()
+        if funcs is None:
+            pytest.skip("this numpy bundles no OpenBLAS")
+        get, _ = funcs
+        before = get()
+        seen = _record_blas_counts(monkeypatch, get)
+        preprocess(workspace.cfg, workspace.data, tmp_path / "f")
+        assert set(seen) == {1}
+        assert get() == before
+
+
 class TestLoadSplitExamples:
     def test_shapes_and_labels(self, workspace):
         cfg = workspace.cfg
@@ -262,6 +364,89 @@ class TestQuantizePipeline:
         with pytest.raises(ValueError, match="audio-teacher"):
             quantize_pipeline(workspace.cfg, text_ckpt, workspace.features,
                               tmp_path / "q")
+
+
+def _count_steps(monkeypatch):
+    """Log every optimizer step the pipeline's stages take."""
+    steps = []
+    real = pipeline.make_optimizer
+
+    def counting(*args, **kwargs):
+        opt = real(*args, **kwargs)
+        step = opt.step
+
+        def counted():
+            steps.append(1)
+            step()
+
+        opt.step = counted
+        return opt
+
+    monkeypatch.setattr(pipeline, "make_optimizer", counting)
+    return steps
+
+
+def _poison_ce(monkeypatch, factor, on_call=2):
+    """Scale pipeline.ce_loss_tensor's ``on_call``-th loss by ``factor``."""
+    calls = []
+    real = pipeline.ce_loss_tensor
+
+    def poisoned(logits, y_onehot):
+        calls.append(1)
+        loss = real(logits, y_onehot)
+        return loss * factor if len(calls) == on_call else loss
+
+    monkeypatch.setattr(pipeline, "ce_loss_tensor", poisoned)
+
+
+class TestNonFiniteLoss:
+    """A NaN or infinite loss stops a stage at once, naming stage, epoch and
+    batch, before the optimizer applies anything from that batch."""
+
+    def test_text_teacher(self, workspace, monkeypatch, tmp_path):
+        steps = _count_steps(monkeypatch)
+        _poison_ce(monkeypatch, float("nan"))
+        with pytest.raises(FloatingPointError, match="text teacher, epoch 1, batch 2: .*nan"):
+            train_text_teacher(workspace.cfg, workspace.features, tmp_path)
+        assert len(steps) == 1
+        assert not (tmp_path / "text_teacher.ckpt").exists()
+
+    def test_audio_teacher(self, workspace, monkeypatch, tmp_path):
+        steps = _count_steps(monkeypatch)
+        _poison_ce(monkeypatch, float("inf"))
+        with pytest.raises(FloatingPointError, match="audio teacher, epoch 1, batch 2: .*inf"):
+            train_audio_teacher(workspace.cfg, workspace.features, tmp_path)
+        assert len(steps) == 1
+        assert not (tmp_path / "audio_teacher.ckpt").exists()
+
+    def test_student(self, workspace, teacher_ckpts, monkeypatch, tmp_path):
+        text_ckpt, audio_ckpt = teacher_ckpts
+        steps = _count_steps(monkeypatch)
+        calls = []
+        real = distill.distill_loss_tensors
+
+        def poisoned(*args, **kwargs):
+            calls.append(1)
+            loss, parts = real(*args, **kwargs)
+            if len(calls) == 2:
+                return loss * float("nan"), LossBreakdown(parts.kl_term, parts.ce_term,
+                                                          float("nan"))
+            return loss, parts
+
+        monkeypatch.setattr(distill, "distill_loss_tensors", poisoned)
+        with pytest.raises(FloatingPointError, match="student, epoch 1, batch 2: .*nan"):
+            train_student(workspace.cfg, workspace.features, text_ckpt, audio_ckpt, tmp_path)
+        assert len(steps) == 1
+        assert not (tmp_path / "student.ckpt").exists()
+
+    def test_qat(self, workspace, teacher_ckpts, monkeypatch, tmp_path):
+        _, audio_ckpt = teacher_ckpts
+        steps = _count_steps(monkeypatch)
+        _poison_ce(monkeypatch, float("nan"))
+        with pytest.raises(FloatingPointError, match="QAT, epoch 1, batch 2: .*nan"):
+            quantize_pipeline(workspace.cfg, audio_ckpt, workspace.features, tmp_path)
+        assert len(steps) == 1
+        assert not (tmp_path / "audio_teacher_quantized.ckpt").exists()
 
 
 class TestEvaluateModel:
