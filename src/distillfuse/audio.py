@@ -89,11 +89,7 @@ class FirFilter:
 
 
 def design_lowpass_fir(cutoff_hz: float, sample_rate: int, taps: int = 101) -> FirFilter:
-    """Hamming-windowed sinc low-pass, normalized to unity gain at DC.
-
-    The taps are designed once per distinct (cutoff_hz, sample_rate, taps)
-    and shared, so they are read-only.
-    """
+    """Hamming-windowed sinc low-pass, normalized to unity gain at DC."""
     if taps < 3 or taps % 2 == 0:
         raise ValueError(f"taps must be an odd integer >= 3, got {taps}")
     nyquist = sample_rate / 2.0
@@ -101,21 +97,16 @@ def design_lowpass_fir(cutoff_hz: float, sample_rate: int, taps: int = 101) -> F
         raise ValueError(
             f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist}) for rate {sample_rate}"
         )
-    return FirFilter(_lowpass_taps(cutoff_hz, sample_rate, taps), cutoff_hz, sample_rate)
-
-
-@functools.lru_cache(maxsize=32)
-def _lowpass_taps(cutoff_hz: float, sample_rate: int, taps: int) -> np.ndarray:
     m = np.arange(taps) - (taps - 1) / 2.0
     fc = cutoff_hz / sample_rate
     h = 2.0 * fc * np.sinc(2.0 * fc * m)  # np.sinc(x) = sin(pi x) / (pi x)
     h *= np.hamming(taps)
     h /= h.sum()
-    return _read_only(h)
+    return FirFilter(h, cutoff_hz, sample_rate)
 
 
 def lowpass_filter(w: WaveForm, cutoff_hz: float, taps: int = 101) -> WaveForm:
-    """Apply design_lowpass_fir's low-pass by direct 'same'-mode convolution."""
+    """Apply a freshly designed low-pass by direct 'same'-mode convolution."""
     fir = design_lowpass_fir(cutoff_hz, w.sample_rate, taps)
     return apply_fir(w, fir)
 

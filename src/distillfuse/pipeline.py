@@ -14,7 +14,6 @@ import ctypes
 import functools
 import logging
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -122,33 +121,24 @@ def _blas_thread_funcs(site=Path(np.__file__).parent.parent):
     return None
 
 
-# The thread count is process-wide: the first of overlapping callers saves it
-# and the last one out restores it.
-_blas_cap_lock = threading.Lock()
-_blas_cap = {"holders": 0, "saved": 0}
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore its
-    count. Does nothing when the library cannot be found."""
+    count. The count is process-wide, so every thread sees the cap while the
+    body runs; calls overlapping from several threads are not coordinated and
+    can leave it at one, which costs speed, not results. Does nothing when
+    the library cannot be found."""
     funcs = _blas_thread_funcs()
     if funcs is None:
         yield
         return
     get, set_ = funcs
-    with _blas_cap_lock:
-        if _blas_cap["holders"] == 0:
-            _blas_cap["saved"] = get()
-            set_(1)
-        _blas_cap["holders"] += 1
+    saved = get()
+    set_(1)
     try:
         yield
     finally:
-        with _blas_cap_lock:
-            _blas_cap["holders"] -= 1
-            if _blas_cap["holders"] == 0:
-                set_(_blas_cap["saved"])
+        set_(saved)
 
 
 # ------------------------------------------------------------- preprocess
@@ -186,11 +176,8 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
         save_features(features_dir / f"{entry.participant_id}.dfmf", feats)
 
     # Each clip's mel projection is large enough for OpenBLAS to start its own
-    # threads, which then fight the other workers for the same cores; one
-    # worker alone runs faster with them.
-    workers = effective_threads(cfg)
-    blas = _one_blas_thread() if workers > 1 else contextlib.nullcontext()
-    with blas, ThreadPoolExecutor(max_workers=workers) as pool:
+    # threads, which then fight the pool's workers for the same cores.
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=effective_threads(cfg)) as pool:
         list(pool.map(one, entries))
 
     train_texts = []

@@ -141,25 +141,6 @@ def test_fir_validation():
         design_lowpass_fir(0.0, 16000, 101)
 
 
-def test_cached_fir_taps_are_shared_read_only_and_unchanged():
-    fir = design_lowpass_fir(7000.0, 16000, 101)
-    assert design_lowpass_fir(7000.0, 16000, 101).coefficients is fir.coefficients
-    with pytest.raises(ValueError):
-        fir.coefficients[0] = 1.0
-    # the cached design is bit for bit the one computed fresh per call
-    m = np.arange(101) - 50.0
-    fc = 7000.0 / 16000
-    h = 2.0 * fc * np.sinc(2.0 * fc * m) * np.hamming(101)
-    assert fir.coefficients.tobytes() == (h / h.sum()).tobytes()
-
-
-def test_lowpass_bad_cutoff_rejected_on_every_call():
-    w = _sine(440, 16000, 0.1)
-    for _ in range(2):  # a raise is never cached as a result
-        with pytest.raises(ValueError, match="cutoff"):
-            lowpass_filter(w, 8000.0)
-
-
 def test_lowpass_filter_preserves_length_and_rate():
     w = _sine(440, 16000, 0.1)
     out = lowpass_filter(w, 7000.0, 101)

@@ -208,24 +208,6 @@ class TestBlasThreadCap:
             preprocess(workspace.cfg, workspace.data, tmp_path / "f")
         assert fake.sets == [1, 4] and fake.n == 4
 
-    def test_one_worker_keeps_blas_threads(self, workspace, fake, monkeypatch, tmp_path):
-        seen = _record_blas_counts(monkeypatch, fake.get)
-        cfg1 = dataclasses.replace(workspace.cfg, threads=1)
-        preprocess(cfg1, workspace.data, tmp_path / "f")
-        assert fake.sets == []
-        assert set(seen) == {4}
-
-    def test_overlapping_callers_restore_once_the_last_leaves(self, fake):
-        # two preprocess calls in different threads: the first to start
-        # finishes first, while the second still runs its pool
-        first, second = pipeline._one_blas_thread(), pipeline._one_blas_thread()
-        first.__enter__()
-        second.__enter__()
-        first.__exit__(None, None, None)
-        assert fake.n == 1
-        second.__exit__(None, None, None)
-        assert fake.sets == [1, 4] and fake.n == 4
-
     def test_preprocess_without_a_library(self, workspace, monkeypatch, tmp_path):
         monkeypatch.setattr(pipeline, "_blas_thread_funcs", lambda: None)
         feats = tmp_path / "f"
