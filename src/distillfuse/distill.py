@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, clamp_min, softmax
+from .tensor import Tensor, clamp_min, softmax, softmax_np
 
 __all__ = [
     "DistillConfig",
@@ -24,6 +24,7 @@ __all__ = [
     "cross_entropy",
     "distill_loss_tensors",
     "kl_divergence",
+    "require_finite_grads",
     "require_finite_loss",
     "softmax_np",
     "student_train_step",
@@ -112,12 +113,6 @@ def total_loss(p_teacher, q_student, y, cfg: DistillConfig | None = None) -> Los
     return LossBreakdown(kl, ce, cfg.alpha * kl + (1.0 - cfg.alpha) * ce)
 
 
-def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def distill_loss_tensors(
     p_mix: np.ndarray,
     student_logits: Tensor,
@@ -169,6 +164,16 @@ def require_finite_loss(value: float, where: str) -> float:
     return value
 
 
+def require_finite_grads(params, where: str) -> float:
+    """Return the global L2 norm of the gradients of ``params``; raise
+    FloatingPointError naming ``where`` if it is NaN or infinite (some
+    gradient entry is, or their squares overflow)."""
+    norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params))
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"{where}: non-finite gradient norm {norm!r}")
+    return norm
+
+
 def student_train_step(batch, teachers, student, cfg: DistillConfig, opt,
                        where: str = "student") -> LossBreakdown:
     """One optimizer step of the student against frozen teachers.
@@ -176,8 +181,8 @@ def student_train_step(batch, teachers, student, cfg: DistillConfig, opt,
     ``teachers`` is (text_teacher, audio_teacher); their parameters receive no
     gradients (they are evaluated outside the tape). With alpha = 0 the
     teacher outputs scale the loss by exactly zero and cannot affect the
-    gradient. A NaN or infinite loss raises FloatingPointError naming
-    ``where`` before any parameter changes.
+    gradient. A NaN or infinite loss, or gradient norm, raises
+    FloatingPointError naming ``where`` before any parameter changes.
     """
     n = batch.labels.shape[0]
     if batch.token_ids.shape[0] != n or batch.mfcc.shape[0] != n:
@@ -194,5 +199,6 @@ def student_train_step(batch, teachers, student, cfg: DistillConfig, opt,
     require_finite_loss(breakdown.total, where)
     opt.zero_grad()
     loss.backward()
+    require_finite_grads(opt.params, where)
     opt.step()
     return breakdown

@@ -6,13 +6,28 @@ Weight matrices are stored in (out_features, in_features) orientation and
 applied as x @ W.T + b. Initialization is uniform(-1/sqrt(fan_in),
 +1/sqrt(fan_in)) for weights and zero for biases, drawn from a caller-supplied
 seeded generator.
+
+``TextEncoder.forward`` and the BiLSTM's ``final_states``/``mean_states``
+have two forwards. When the call can record a tape (grad mode on and some
+weight requiring grad) they run op by op through ``Tensor``. Otherwise they
+run on plain numpy arrays with the same float operations in the same order,
+so both give bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, ShapeError, Tensor, concat, embedding, softmax
+from .tensor import (
+    Parameter,
+    ShapeError,
+    Tensor,
+    concat,
+    embedding,
+    records_tape,
+    softmax,
+    softmax_np,
+)
 
 __all__ = [
     "BiLstm",
@@ -50,6 +65,25 @@ def layer_norm(x: Tensor, gamma: Parameter, beta: Parameter, eps: float = 1e-5) 
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered / ((var + eps) ** 0.5) * gamma + beta
+
+
+def _linear_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``linear`` on plain arrays, in its op order."""
+    out = x @ w.T
+    out += b
+    return out
+
+
+def _layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                   eps: float = 1e-5) -> np.ndarray:
+    """``layer_norm`` on plain arrays, in its op order (``** 0.5`` is sqrt)."""
+    out = x - x.mean(axis=-1, keepdims=True)
+    var = (out * out).mean(axis=-1, keepdims=True)
+    var += eps
+    out /= np.sqrt(var, out=var)
+    out *= gamma
+    out += beta
+    return out
 
 
 class LoraAdapter:
@@ -133,6 +167,29 @@ class EncoderLayer:
         ff = linear(linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
         return layer_norm(x + ff, self.ln2_g, self.ln2_b)
 
+    def forward_np(self, x: np.ndarray, add_mask: np.ndarray) -> np.ndarray:
+        """``forward`` on plain arrays, for calls that record no tape."""
+        b, l, d = x.shape
+        h = self.n_heads
+        dh = d // h
+        wq = lora_effective_weight(self.wq, self.lora_q).data if self.lora_q else self.wq.data
+        wv = lora_effective_weight(self.wv, self.lora_v).data if self.lora_v else self.wv.data
+        q = _linear_np(x, wq, self.bq.data).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
+        k = _linear_np(x, self.wk.data, self.bk.data).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
+        v = _linear_np(x, wv, self.bv.data).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= 1.0 / np.sqrt(dh)
+        scores += add_mask
+        attn = softmax_np(scores, axis=-1, out=scores)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
+        y = _linear_np(ctx, self.wo.data, self.bo.data)
+        y += x
+        x = _layer_norm_np(y, self.ln1_g.data, self.ln1_b.data)
+        ff = _linear_np(x, self.w1.data, self.b1.data)
+        ff = _linear_np(np.maximum(ff, 0.0, out=ff), self.w2.data, self.b2.data)
+        ff += x
+        return _layer_norm_np(ff, self.ln2_g.data, self.ln2_b.data)
+
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         out = [
             (prefix + n, getattr(self, n))
@@ -185,8 +242,14 @@ class TextEncoder:
             raise IndexError(
                 f"token id out of range for vocabulary of size {self.vocab_size}"
             )
-        x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(l))
         add_mask = ((mask - 1.0) * -MASK_NEG)[:, None, None, :]
+        if not records_tape(*(p for _, p in self.named_parameters())):
+            x = self.tok_emb.data[ids]
+            x += self.pos_emb.data[:l]
+            for layer in self.layers:
+                x = layer.forward_np(x, add_mask)
+            return Tensor(x[:, 0, :])
+        x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(l))
         for layer in self.layers:
             x = layer.forward(x, add_mask)
         return x[:, 0, :]
@@ -234,6 +297,10 @@ class BiLstm:
         bsz, t_steps, d = x.shape
         if d != self.input_dim:
             raise ShapeError(f"expected feature dim {self.input_dim}, got {d}")
+        if not records_tape(wx, wh, b):
+            hs, mean = _lstm_np(np.asarray(x, dtype=np.float64), wx.data, wh.data, b.data,
+                                self.hidden_dim, reverse)
+            return Tensor(hs), Tensor(mean)
         h = self.hidden_dim
         wx_t = wx.transpose(1, 0)
         wh_t = wh.transpose(1, 0)
@@ -272,6 +339,36 @@ class BiLstm:
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
         return [(n, getattr(self, n)) for n in ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b")]
+
+
+def _lstm_np(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, h: int,
+             reverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM direction on plain arrays: ``BiLstm._run``'s float ops in its
+    order, with the three sigmoids done at once, in place, over the packed
+    gates once the cell slice's tanh is taken."""
+    bsz, t_steps, _ = x.shape
+    wx_t, wh_t = wx.T, wh.T
+    hs = np.zeros((bsz, h))
+    cs = np.zeros((bsz, h))
+    h_sum = None
+    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
+    for t in order:
+        z = x[:, t, :] @ wx_t
+        z += hs @ wh_t
+        z += b
+        g = np.tanh(z[:, 2 * h : 3 * h])
+        z *= 0.5  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)), as Tensor.sigmoid
+        np.tanh(z, out=z)
+        z += 1.0
+        z *= 0.5
+        cs = z[:, 1 * h : 2 * h] * cs
+        cs += z[:, 0 * h : 1 * h] * g
+        hs = z[:, 3 * h : 4 * h] * np.tanh(cs)
+        if h_sum is None:
+            h_sum = hs.copy()
+        else:
+            h_sum += hs
+    return hs, h_sum * (1.0 / t_steps)
 
 
 def bilstm_forward(frames: np.ndarray, model: BiLstm) -> Tensor:

@@ -9,11 +9,10 @@ import numpy as np
 from .checkpoint import Checkpoint, CheckpointError
 from .config import RunConfig
 from .data import rng_for
-from .distill import softmax_np
 from .encoders import BiLstm, ClassifierHead, TextEncoder
 from .fusion import FusionParams, MultiHeadFusion, fuse_attention, multi_head_fuse
 from .quant import calibrate, dequantize, fake_quant, quantize
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, softmax_np
 
 __all__ = [
     "AudioTeacherModel",

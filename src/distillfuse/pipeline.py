@@ -48,8 +48,8 @@ from .distill import (
     LossBreakdown,
     ce_loss_tensor,
     one_hot,
+    require_finite_grads,
     require_finite_loss,
-    softmax_np,
     student_train_step,
 )
 from .metrics import MetricsReport, compute_metrics, emit_report, roc_auc
@@ -65,7 +65,7 @@ from .models import (
 from .optim import PlateauScheduler, make_optimizer
 from .text import encode, build_vocab, load_vocab, parse_and_filter_transcript, save_vocab
 from .checkpoint import save_checkpoint
-from .tensor import no_grad
+from .tensor import no_grad, softmax_np
 
 logger = logging.getLogger(__name__)
 
@@ -199,15 +199,27 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
 
 
 def _read_splits(features_dir) -> list[tuple[int, int, str]]:
+    """``(participant_id, label, split)`` rows of ``splits.csv``. A malformed
+    row raises ValueError naming the file, the line and the field."""
     path = Path(features_dir) / "splits.csv"
     with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != "participant_id,label,split":
+        lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
+    if not lines or lines[0][1] != "participant_id,label,split":
         raise ValueError(f"{path}: expected header 'participant_id,label,split'")
     out = []
-    for line in lines[1:]:
-        pid, label, split = line.split(",")
-        out.append((int(pid), int(label), split))
+    for lineno, line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 fields "
+                             f"participant_id,label,split, got {len(fields)}")
+        pid, label, split = fields
+        try:
+            pid = int(pid)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: participant_id {pid!r} is not an integer") from None
+        if label not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
+        out.append((pid, int(label), split))
     return out
 
 
@@ -257,11 +269,12 @@ def _split_loss_acc(model, examples: list[Example], batch_size: int) -> tuple[fl
 
 def _step(loss, opt, where: str) -> float:
     """One optimizer step on a scalar loss, returning its value. A NaN or
-    infinite loss raises FloatingPointError naming ``where`` before any
-    parameter changes."""
+    infinite loss, or gradient norm, raises FloatingPointError naming
+    ``where`` before any parameter changes."""
     value = require_finite_loss(loss.item(), where)
     opt.zero_grad()
     loss.backward()
+    require_finite_grads(opt.params, where)
     opt.step()
     return value
 

@@ -25,7 +25,9 @@ __all__ = [
     "concat",
     "embedding",
     "no_grad",
+    "records_tape",
     "softmax",
+    "softmax_np",
 ]
 
 
@@ -85,6 +87,13 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = prev
+
+
+def records_tape(*tensors: "Tensor") -> bool:
+    """True when an op over ``tensors`` records a tape node: grad mode is on
+    in this thread and some tensor requires grad. Code with a plain-numpy
+    forward may take it exactly when this is False."""
+    return _grad_mode.enabled and any(t.requires_grad for t in tensors)
 
 
 def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
@@ -451,14 +460,23 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def softmax_np(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax of a plain array along ``axis``: the max is
+    subtracted into ``out`` (a fresh array by default; ``out=x`` works in
+    place), which is then exponentiated and normalized in place."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max subtracted before exp).
 
     Output rows are strictly positive and sum to 1 along ``axis``.
     """
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_np(x.data, axis)
 
     def backward(g, a=x, y=y, axis=axis):
         if a.requires_grad:

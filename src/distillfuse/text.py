@@ -181,8 +181,21 @@ def save_vocab(path, vocab: Vocabulary) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """Read a vocabulary written by ``save_vocab``, one token per line. A file
+    that does not open with the four special tokens, or repeats a token,
+    raises ValueError naming the file and the line."""
     with open(path, encoding="utf-8") as f:
         tokens = [line.rstrip("\n") for line in f]
     if tokens and tokens[-1] == "":
         tokens.pop()
+    for lineno, want in enumerate(SPECIAL_TOKENS, 1):
+        if lineno > len(tokens) or tokens[lineno - 1] != want:
+            got = repr(tokens[lineno - 1]) if lineno <= len(tokens) else "end of file"
+            raise ValueError(f"{path}:{lineno}: expected special token {want!r}, got {got}")
+    first: dict[str, int] = {}
+    for lineno, tok in enumerate(tokens, 1):
+        if tok in first:
+            raise ValueError(f"{path}:{lineno}: duplicate token {tok!r} "
+                             f"(first on line {first[tok]})")
+        first[tok] = lineno
     return Vocabulary(tokens)

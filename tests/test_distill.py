@@ -19,6 +19,7 @@ from distillfuse.distill import (
     distill_loss_tensors,
     kl_divergence,
     one_hot,
+    require_finite_grads,
     softmax_np,
     student_train_step,
     total_loss,
@@ -373,6 +374,24 @@ class TestStudentTrainStep:
             results.append(student.w.data.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_raises_before_the_step(self):
+        # The logits keep their values but pick up a NaN gradient: the loss
+        # is finite, the gradient norm is not, and the weights stay put.
+        rng = np.random.default_rng(37)
+        student = _StubStudent(3)
+        plain = student.forward_logits
+        student.forward_logits = lambda *a: plain(*a) + (student.w * 0.0).sum() ** 0.5
+        before = student.w.data.copy()
+        opt = SGD(student.parameters(), lr=0.1)
+        with pytest.raises(FloatingPointError,
+                           match="student, epoch 3, batch 4: non-finite gradient norm nan"):
+            student_train_step(_batch(rng), (_StubTeacher(0.5), _StubTeacher(0.5)),
+                               student, DistillConfig(), opt,
+                               where="student, epoch 3, batch 4")
+        assert opt.step_count == 0
+        np.testing.assert_array_equal(student.w.data, before)
+
     def test_batch_size_mismatch(self):
         rng = np.random.default_rng(31)
         batch = _batch(rng)
@@ -382,3 +401,23 @@ class TestStudentTrainStep:
         with pytest.raises(ValueError, match="batch size mismatch"):
             student_train_step(batch, (_StubTeacher(0.5), _StubTeacher(0.5)),
                                student, DistillConfig(), opt)
+
+
+def test_require_finite_grads_returns_the_global_norm():
+    a, b = Parameter(np.zeros(2)), Parameter(np.zeros((1, 1)))
+    a.grad[:] = (3.0, 0.0)
+    b.grad[:] = 4.0
+    assert require_finite_grads([a, b], "x") == 5.0
+    for bad in (np.nan, np.inf, -np.inf):
+        b.grad[:] = bad
+        with pytest.raises(FloatingPointError, match="^stage y: non-finite gradient norm"):
+            require_finite_grads([a, b], "stage y")
+    b.grad[:] = 1e300  # finite entries whose squares overflow
+    with pytest.raises(FloatingPointError, match="inf"):
+        require_finite_grads([a, b], "z")
+
+
+def test_softmax_np_is_the_tensor_module_function():
+    from distillfuse import tensor
+
+    assert softmax_np is tensor.softmax_np

@@ -2,7 +2,9 @@
 encoder, the bidirectional LSTM, and the classification head.
 
 Recurrent and attention outputs are checked against step-by-step numpy
-re-implementations; gradients are checked against central differences.
+re-implementations; gradients are checked against central differences. The
+plain-numpy forwards taken when no tape can be recorded are checked byte for
+byte against the taped forwards of the same weights.
 """
 
 import numpy as np
@@ -20,13 +22,39 @@ from distillfuse.encoders import (
     uniform_param,
     zeros_param,
 )
-from distillfuse.tensor import Parameter, ShapeError, Tensor
+from distillfuse import tensor
+from distillfuse.models import make_fake_quant_transform
+from distillfuse.tensor import Parameter, ShapeError, Tensor, no_grad
 
 from helpers import FD_TOL, check_grads, numeric_grad, rel_err
 
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _count_makes(monkeypatch) -> list:
+    """Log every ``tensor._make`` call (one per tensor op, taped or not)."""
+    made = []
+    make = tensor._make
+
+    def counting(*args):
+        made.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(tensor, "_make", counting)
+    return made
+
+
+def _taped_and_untaped(fn):
+    """(taped, untaped) outputs of ``fn()``: called once in grad mode, where
+    it must record a tape, and once under ``no_grad``, where it must not."""
+    taped = fn()
+    assert taped.requires_grad and taped._parents
+    with no_grad():
+        untaped = fn()
+    assert not untaped.requires_grad
+    return taped, untaped
 
 
 class TestLinear:
@@ -261,6 +289,45 @@ class TestTextEncoder:
         assert all(not p.requires_grad for p in base)
         assert all(p.requires_grad for p in adapters)
 
+    @pytest.mark.parametrize("lora_rank", [0, 2])
+    def test_untaped_forward_equals_taped_bytes(self, lora_rank):
+        # Non-zero weights everywhere (LoRA ``b`` included), every mask
+        # length from 1 to L, and L below max_len. A head width of 6 makes
+        # the 1/sqrt(dh) score scale inexact, so its rounding shows.
+        rng = np.random.default_rng(41)
+        enc = TextEncoder(30, d_model=12, n_layers=2, n_heads=2, d_ff=16, max_len=12,
+                          rng=rng, lora_rank=lora_rank)
+        for _, p in enc.named_parameters():
+            p.data = rng.normal(size=p.data.shape)
+        assert lora_rank == 0 or np.any(enc.layers[0].lora_q.b.data != 0.0)
+        l = 9
+        ids = rng.integers(0, 30, size=(l, l))
+        mask = (np.arange(l)[None, :] < np.arange(1, l + 1)[:, None]).astype(np.float64)
+        taped, untaped = _taped_and_untaped(lambda: enc.forward(ids, mask))
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_frozen_encoder_in_grad_mode_records_no_nodes(self, monkeypatch):
+        enc = self._tiny()
+        ids = np.array([[2, 5, 6, 3], [2, 7, 3, 0]])
+        mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=float)
+        made = _count_makes(monkeypatch)
+        taped = enc.forward(ids, mask)
+        assert taped.requires_grad and made  # trainable: still tapes
+        for p in enc.base_parameters():
+            p.freeze()
+        made.clear()
+        frozen = enc.forward(ids, mask)
+        assert not frozen.requires_grad and not made
+        assert frozen.data.tobytes() == taped.data.tobytes()
+
+    def test_untaped_forward_keeps_input_errors(self):
+        enc = self._tiny(max_len=4)
+        with no_grad():
+            with pytest.raises(ValueError, match="max_len"):
+                enc.forward(np.zeros((1, 5), dtype=int), np.ones((1, 5)))
+            with pytest.raises(IndexError):
+                enc.forward(np.array([[2, 25, 3]]), np.ones((1, 3)))
+
     def test_gradients_through_full_stack(self):
         rng = np.random.default_rng(21)
         enc = TextEncoder(9, d_model=4, n_layers=1, n_heads=2, d_ff=6,
@@ -349,6 +416,8 @@ class TestBiLstm:
         model = BiLstm(input_dim=4, hidden_dim=2, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError, match="feature dim"):
             model.final_states(np.zeros((1, 3, 5)))
+        with no_grad(), pytest.raises(ShapeError, match="feature dim"):
+            model.mean_states(np.zeros((1, 3, 5)))
 
     def test_bilstm_forward_single_vs_batch(self):
         rng = np.random.default_rng(3)
@@ -368,6 +437,51 @@ class TestBiLstm:
         zeroed = model.final_states(
             x, transform=lambda name, p: Tensor(np.zeros_like(p.data)))
         np.testing.assert_array_equal(zeroed.data, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("bsz", [1, 7, 32])
+    @pytest.mark.parametrize("steps", [1, 2, 60])
+    def test_untaped_forward_equals_taped_bytes(self, bsz, steps):
+        rng = np.random.default_rng(100 * bsz + steps)
+        model = BiLstm(input_dim=13, hidden_dim=8, rng=rng)
+        for _, p in model.named_parameters():
+            p.data = rng.normal(size=p.data.shape)
+        x = rng.normal(size=(bsz, steps, 13))
+        for transform in (None, make_fake_quant_transform("symmetric")):
+            for states in (model.final_states, model.mean_states):
+                taped, untaped = _taped_and_untaped(lambda: states(x, transform))
+                assert untaped.data.shape == (bsz, 16)
+                assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_untaped_forward_with_saturated_gates_equals_taped_bytes(self):
+        # Biases of +-1e3 push every gate pre-activation to several hundred
+        # or more, pinning each sigmoid and tanh at 0 or +-1; the untaped
+        # sigmoid must saturate exactly as the taped one.
+        rng = np.random.default_rng(43)
+        model = BiLstm(input_dim=3, hidden_dim=4, rng=rng)
+        for name in ("b_f", "b_b"):
+            getattr(model, name).data = rng.choice([-1e3, 1e3], size=16)
+        x = rng.normal(size=(5, 7, 3)) * 100.0
+        for states in (model.final_states, model.mean_states):
+            taped, untaped = _taped_and_untaped(lambda: states(x))
+            assert untaped.data.tobytes() == taped.data.tobytes()
+            assert np.all(np.abs(untaped.data) <= 1.0)
+
+    def test_records_tape_decides_the_path(self, monkeypatch):
+        # Trainable weights in grad mode tape; under no_grad, or with every
+        # weight frozen, the forward runs on plain arrays: not one tensor op.
+        model = BiLstm(input_dim=3, hidden_dim=2, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(2, 4, 3))
+        made = _count_makes(monkeypatch)
+        assert model.mean_states(x).requires_grad and made
+        made.clear()
+        with no_grad():
+            model.final_states(x)
+            model.mean_states(x)
+        assert len(made) == 2  # the two concat calls of the entry points
+        for _, p in model.named_parameters():
+            p.freeze()
+        made.clear()
+        assert not model.final_states(x).requires_grad and len(made) == 1
 
     def test_gradients(self):
         rng = np.random.default_rng(29)

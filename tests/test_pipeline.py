@@ -261,6 +261,26 @@ class TestLoadSplitExamples:
             load_split_examples(workspace.cfg, workspace.features, "dev")
 
 
+class TestSplitsFile:
+    @pytest.mark.parametrize("row, message", [
+        ("7,1", "expected 3 fields participant_id,label,split, got 2"),
+        ("7,1,train,x", "expected 3 fields participant_id,label,split, got 4"),
+        ("seven,1,train", "participant_id 'seven' is not an integer"),
+        ("7,yes,train", "label 'yes' is not 0 or 1"),
+        ("7,2,train", "label '2' is not 0 or 1"),
+    ])
+    def test_malformed_row_names_file_and_line(self, workspace, tmp_path, row, message):
+        # line 2 is blank, so the bad row is on line 4 of the file
+        import re
+        import shutil
+
+        shutil.copy(workspace.features / "vocab.txt", tmp_path)
+        path = tmp_path / "splits.csv"
+        path.write_text(f"participant_id,label,split\n\n3,0,train\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
+            load_split_examples(workspace.cfg, tmp_path, "train")
+
+
 class TestTeacherTraining:
     def test_text_teacher_artifacts(self, workspace, teacher_ckpts):
         text_ckpt, _ = teacher_ckpts
@@ -429,6 +449,83 @@ class TestNonFiniteLoss:
             quantize_pipeline(workspace.cfg, audio_ckpt, workspace.features, tmp_path)
         assert len(steps) == 1
         assert not (tmp_path / "audio_teacher_quantized.ckpt").exists()
+
+
+def _nan_gradient(loss, logits):
+    """``loss`` with its value unchanged and a NaN gradient: d sqrt(s)/ds is
+    infinite at s = 0, and 0 * inf gives NaN on the way back to the logits."""
+    return loss + (logits * 0.0).sum() ** 0.5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteGradient:
+    """A finite loss with a NaN gradient stops a stage after backward and
+    before the optimizer step, naming stage, epoch and batch; no parameter
+    changes."""
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        """Poisons the gradient of the second loss, snapshotting the
+        optimizer's parameters just before it."""
+        seen = types.SimpleNamespace(opts=[], calls=0, before=None)
+        real_make = pipeline.make_optimizer
+
+        def recording(*args, **kwargs):
+            seen.opts.append(real_make(*args, **kwargs))
+            return seen.opts[-1]
+
+        def poison(fn, logits_at):
+            def poisoned(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen.calls += 1
+                if seen.calls != 2:
+                    return out
+                seen.before = [p.data.copy() for p in seen.opts[-1].params]
+                if isinstance(out, tuple):
+                    return (_nan_gradient(out[0], args[logits_at]), *out[1:])
+                return _nan_gradient(out, args[logits_at])
+            return poisoned
+
+        monkeypatch.setattr(pipeline, "make_optimizer", recording)
+        seen.poison = poison
+        return seen
+
+    def _check(self, seen, tmp_path, ckpt_name):
+        opt = seen.opts[-1]
+        assert opt.step_count == 1
+        assert all(np.array_equal(p.data, b) for p, b in zip(opt.params, seen.before))
+        assert not (tmp_path / ckpt_name).exists()
+
+    def test_text_teacher(self, workspace, watch, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "ce_loss_tensor", watch.poison(pipeline.ce_loss_tensor, 0))
+        with pytest.raises(FloatingPointError,
+                           match="text teacher, epoch 1, batch 2: non-finite gradient norm nan"):
+            train_text_teacher(workspace.cfg, workspace.features, tmp_path)
+        self._check(watch, tmp_path, "text_teacher.ckpt")
+
+    def test_audio_teacher(self, workspace, watch, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "ce_loss_tensor", watch.poison(pipeline.ce_loss_tensor, 0))
+        with pytest.raises(FloatingPointError,
+                           match="audio teacher, epoch 1, batch 2: non-finite gradient norm nan"):
+            train_audio_teacher(workspace.cfg, workspace.features, tmp_path)
+        self._check(watch, tmp_path, "audio_teacher.ckpt")
+
+    def test_student(self, workspace, teacher_ckpts, watch, monkeypatch, tmp_path):
+        text_ckpt, audio_ckpt = teacher_ckpts
+        monkeypatch.setattr(distill, "distill_loss_tensors",
+                            watch.poison(distill.distill_loss_tensors, 1))
+        with pytest.raises(FloatingPointError,
+                           match="student, epoch 1, batch 2: non-finite gradient norm nan"):
+            train_student(workspace.cfg, workspace.features, text_ckpt, audio_ckpt, tmp_path)
+        self._check(watch, tmp_path, "student.ckpt")
+
+    def test_qat(self, workspace, teacher_ckpts, watch, monkeypatch, tmp_path):
+        _, audio_ckpt = teacher_ckpts
+        monkeypatch.setattr(pipeline, "ce_loss_tensor", watch.poison(pipeline.ce_loss_tensor, 0))
+        with pytest.raises(FloatingPointError,
+                           match="QAT, epoch 1, batch 2: non-finite gradient norm nan"):
+            quantize_pipeline(workspace.cfg, audio_ckpt, workspace.features, tmp_path)
+        self._check(watch, tmp_path, "audio_teacher_quantized.ckpt")
 
 
 class TestEvaluateModel:

@@ -15,7 +15,9 @@ from distillfuse.tensor import (
     concat,
     embedding,
     no_grad,
+    records_tape,
     softmax,
+    softmax_np,
 )
 from helpers import check_grads, rel_err
 
@@ -319,6 +321,38 @@ def test_softmax_shift_invariance():
     y1 = softmax(Tensor(a), axis=1).data
     y2 = softmax(Tensor(a + 1000.0), axis=1).data
     np.testing.assert_allclose(y1, y2, atol=1e-12)
+
+
+def test_softmax_np_matches_the_reference_and_works_in_place():
+    # The three-step reference softmax, bit for bit; the input is left alone
+    # unless it is passed as ``out``, and the taped softmax's forward is it.
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(4, 3, 5)) * 10.0
+    for axis in (0, 1, -1):
+        e = np.exp(a - a.max(axis=axis, keepdims=True))
+        ref = e / e.sum(axis=axis, keepdims=True)
+        before = a.copy()
+        assert softmax_np(a, axis).tobytes() == ref.tobytes()
+        assert a.tobytes() == before.tobytes()
+        assert softmax(Tensor(a), axis).data.tobytes() == ref.tobytes()
+        buf = a.copy()
+        assert softmax_np(buf, axis, out=buf) is buf
+        assert buf.tobytes() == ref.tobytes()
+
+
+def test_records_tape_states_the_make_rule():
+    w = Parameter(np.ones(2))
+    frozen = Parameter(np.ones(2), trainable=False)
+    const = Tensor(np.ones(2))
+    assert records_tape(w) and records_tape(const, w)
+    assert not records_tape(frozen, const) and not records_tape()
+    with no_grad():
+        assert not records_tape(w, const)
+    # whatever it says, an op over the same operands agrees
+    for ops in ((w,), (const, w), (frozen, const)):
+        assert records_tape(*ops) == _records(concat(list(ops)))
+    with no_grad():
+        assert not _records(concat([w, const]))
 
 
 def test_clamp_min_value_and_grad_mask():

@@ -253,3 +253,21 @@ def test_vocab_file_is_one_token_per_line(tmp_path):
     save_vocab(path, v)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == v.id_to_token
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    ([], 1, "expected special token '<pad>', got end of file"),
+    (["<pad>", "<unk>", "<cls>"], 4, "expected special token '<sep>', got end of file"),
+    (["<pad>", "<cls>", "<unk>", "<sep>"], 2, "expected special token '<unk>', got '<cls>'"),
+    (["<pad>", "<unk>", "<cls>", "<sep>", "a", "b", "a"], 7,
+     "duplicate token 'a' (first on line 5)"),
+    (["<pad>", "<unk>", "<cls>", "<sep>", "<unk>"], 5,
+     "duplicate token '<unk>' (first on line 2)"),
+])
+def test_malformed_vocab_file_names_file_and_line(tmp_path, lines, lineno, message):
+    import re
+
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(tok + "\n" for tok in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {message}")):
+        load_vocab(path)
