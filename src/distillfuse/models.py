@@ -4,6 +4,8 @@ checkpoint (de)serialization and whole-model weight quantization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError
@@ -24,7 +26,7 @@ __all__ = [
 ]
 
 
-def _meta(ckpt: Checkpoint, source: str, key: str, parse=int):
+def _meta(ckpt: Checkpoint, source: str, key: str, parse):
     """``parse(ckpt.meta[key])``; a missing key or a value ``parse`` rejects
     raises CheckpointError naming ``source`` and ``key``."""
     if key not in ckpt.meta:
@@ -42,8 +44,41 @@ def _parse_bool(raw: str) -> bool:
     return raw == "true"
 
 
-# Integer meta keys of a TextEncoder, shared by both kinds that hold one.
-_ENCODER_META = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len")
+def _int_at_least(lo: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise ValueError(raw)
+        return value
+
+    return parse
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+_size = _int_at_least(1)
+
+
+def _meta_str(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+# Meta keys of a TextEncoder, shared by both kinds that hold one. They are
+# also TextEncoder's argument names and, vocab_size aside, RunConfig fields.
+_ENCODER_META = tuple(
+    (k, _size) for k in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len")
+)
+
+
+def _encoder_meta(vocab_size: int, cfg: RunConfig) -> dict:
+    return {"vocab_size": vocab_size, **{k: getattr(cfg, k) for k, _ in _ENCODER_META[1:]}}
 
 
 def _assign_blocks(named: list[tuple[str, Parameter]], arrays: dict[str, np.ndarray],
@@ -66,25 +101,86 @@ def _assign_blocks(named: list[tuple[str, Parameter]], arrays: dict[str, np.ndar
         p.data = np.array(arrays[n], dtype=np.float64)
 
 
-class TextTeacherModel:
+class _Model:
+    """The recipe the three models share: parts, parameters, checkpoints.
+
+    A subclass declares ``META``, its ``(key, parser)`` pairs in the order a
+    checkpoint stores them; ``PARTS``, its ``(prefix, attribute)`` pairs in
+    parameter order; ``INPUTS``, the ``Batch`` fields its ``forward_logits``
+    and ``predict_probs`` take; and ``_assemble``, which builds the parts
+    from a generator and the meta values. ``build`` and ``from_checkpoint``
+    both construct through ``__init__``.
+
+    ``quantized_blocks`` (set by ``quantize_model``) holds int8 blocks by
+    parameter name; a checkpoint stores them in place of the float ones. A
+    meta key without a parser, the audio teacher's ``quantized``, is written
+    from them and not read back: the blocks themselves say what is int8.
+    """
+
+    kind = ""
+    META: tuple = ()
+    PARTS: tuple = ()
+    INPUTS: tuple = ()
+    quantized_blocks: dict | None = None
+
+    def __init__(self, rng: np.random.Generator, **meta):
+        self.meta = meta
+        self._assemble(rng, **meta)
+
+    def inputs(self, batch) -> tuple:
+        return tuple(getattr(batch, f) for f in self.INPUTS)
+
+    def named_parameters(self) -> list[tuple[str, Parameter]]:
+        return [(prefix + n, p) for prefix, attr in self.PARTS
+                for n, p in getattr(self, attr).named_parameters()]
+
+    def trainable_parameters(self) -> list[Parameter]:
+        return [p for _, p in self.named_parameters() if p.trainable]
+
+    def freeze_all(self) -> None:
+        for _, p in self.named_parameters():
+            p.freeze()
+
+    def to_checkpoint(self) -> Checkpoint:
+        values = dict(self.meta, quantized=bool(self.quantized_blocks))
+        meta = {k: _meta_str(values[k]) for k, _ in self.META}
+        blocks = self.quantized_blocks or {}
+        arrays = {n: p.data for n, p in self.named_parameters() if n not in blocks}
+        return Checkpoint(self.kind, meta, arrays, dict(blocks))
+
+    @classmethod
+    def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint"):
+        meta = {k: _meta(ckpt, source, k, parse) for k, parse in cls.META if parse}
+        try:
+            model = cls(rng_for(0, "rebuild"), **meta)
+        except ValueError as err:  # sizes that are valid one by one but not together
+            raise CheckpointError(f"{source}: {err}") from None
+        arrays = dict(ckpt.arrays)
+        for name, qm in ckpt.quantized.items():
+            arrays[name] = dequantize(qm)
+        _assign_blocks(model.named_parameters(), arrays, source)
+        model.quantized_blocks = dict(ckpt.quantized) or None
+        return model
+
+
+class TextTeacherModel(_Model):
     """Frozen-base text encoder with trainable low-rank adapters and head."""
 
     kind = "text-teacher"
+    META = _ENCODER_META + (("lora_rank", _int_at_least(0)), ("lora_alpha", _finite_float))
+    PARTS = (("", "encoder"), ("", "head"))
+    INPUTS = ("token_ids", "mask")
 
-    def __init__(self, encoder: TextEncoder, head: ClassifierHead):
-        self.encoder = encoder
-        self.head = head
+    def _assemble(self, rng, **m) -> None:
+        self.encoder = TextEncoder(**m, rng=rng)
+        self.encoder.freeze_base()
+        self.head = ClassifierHead(m["d_model"], rng=rng)
 
     @classmethod
     def build(cls, vocab_size: int, cfg: RunConfig) -> "TextTeacherModel":
-        rng = rng_for(cfg.seed, "text-teacher-init")
-        encoder = TextEncoder(
-            vocab_size, cfg.d_model, cfg.n_layers, cfg.n_heads, cfg.d_ff,
-            cfg.max_len, rng=rng, lora_rank=cfg.lora_rank, lora_alpha=cfg.lora_alpha,
-        )
-        encoder.freeze_base()
-        head = ClassifierHead(cfg.d_model, rng=rng)
-        return cls(encoder, head)
+        alpha = float(cfg.lora_alpha) if cfg.lora_rank else 0.0
+        return cls(rng_for(cfg.seed, "text-teacher-init"), **_encoder_meta(vocab_size, cfg),
+                   lora_rank=cfg.lora_rank, lora_alpha=alpha)
 
     def forward_logits(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         return self.head.logits(self.encoder.forward(ids, mask))
@@ -94,62 +190,23 @@ class TextTeacherModel:
         logits = self.forward_logits(ids, mask).data
         return softmax_np(logits / temperature, axis=-1)
 
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        return self.encoder.named_parameters() + self.head.named_parameters()
 
-    def trainable_parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters() if p.trainable]
-
-    def freeze_all(self) -> None:
-        for _, p in self.named_parameters():
-            p.freeze()
-
-    def to_checkpoint(self) -> Checkpoint:
-        meta = {
-            "vocab_size": str(self.encoder.vocab_size),
-            "d_model": str(self.encoder.d_model),
-            "n_layers": str(self.encoder.n_layers),
-            "n_heads": str(self.encoder.n_heads),
-            "d_ff": str(self.encoder.d_ff),
-            "max_len": str(self.encoder.max_len),
-            "lora_rank": str(self.encoder.layers[0].lora_q.rank if self.encoder.layers[0].lora_q else 0),
-            "lora_alpha": str(self.encoder.layers[0].lora_q.alpha if self.encoder.layers[0].lora_q else 0.0),
-        }
-        arrays = {n: p.data for n, p in self.named_parameters()}
-        return Checkpoint(self.kind, meta, arrays)
-
-    @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint") -> "TextTeacherModel":
-        m = {k: _meta(ckpt, source, k) for k in _ENCODER_META + ("lora_rank",)}
-        lora_alpha = _meta(ckpt, source, "lora_alpha", float)
-        rng = rng_for(0, "rebuild")
-        encoder = TextEncoder(
-            m["vocab_size"], m["d_model"], m["n_layers"], m["n_heads"], m["d_ff"],
-            m["max_len"], rng=rng, lora_rank=m["lora_rank"], lora_alpha=lora_alpha,
-        )
-        encoder.freeze_base()
-        head = ClassifierHead(m["d_model"], rng=rng)
-        model = cls(encoder, head)
-        _assign_blocks(model.named_parameters(), ckpt.arrays, source)
-        return model
-
-
-class AudioTeacherModel:
+class AudioTeacherModel(_Model):
     """BiLSTM over MFCC frames; classification from the final-state features."""
 
     kind = "audio-teacher"
+    META = (("input_dim", _size), ("hidden_dim", _size), ("quantized", None))
+    PARTS = (("", "bilstm"), ("", "head"))
+    INPUTS = ("mfcc",)
 
-    def __init__(self, bilstm: BiLstm, head: ClassifierHead):
-        self.bilstm = bilstm
-        self.head = head
-        self.quantized_blocks: dict | None = None
+    def _assemble(self, rng, input_dim: int, hidden_dim: int) -> None:
+        self.bilstm = BiLstm(input_dim, hidden_dim, rng=rng)
+        self.head = ClassifierHead(2 * hidden_dim, rng=rng)
 
     @classmethod
     def build(cls, cfg: RunConfig) -> "AudioTeacherModel":
-        rng = rng_for(cfg.seed, "audio-teacher-init")
-        bilstm = BiLstm(cfg.n_coeffs, cfg.lstm_hidden, rng=rng)
-        head = ClassifierHead(2 * cfg.lstm_hidden, rng=rng)
-        return cls(bilstm, head)
+        return cls(rng_for(cfg.seed, "audio-teacher-init"),
+                   input_dim=cfg.n_coeffs, hidden_dim=cfg.lstm_hidden)
 
     def forward_logits(self, mfcc: np.ndarray, transform=None) -> Tensor:
         return self.head.logits(self.bilstm.final_states(mfcc, transform))
@@ -157,46 +214,6 @@ class AudioTeacherModel:
     def predict_probs(self, mfcc: np.ndarray, temperature: float = 1.0) -> np.ndarray:
         logits = self.forward_logits(mfcc).data
         return softmax_np(logits / temperature, axis=-1)
-
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        return self.bilstm.named_parameters() + self.head.named_parameters()
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters() if p.trainable]
-
-    def freeze_all(self) -> None:
-        for _, p in self.named_parameters():
-            p.freeze()
-
-    def to_checkpoint(self) -> Checkpoint:
-        meta = {
-            "input_dim": str(self.bilstm.input_dim),
-            "hidden_dim": str(self.bilstm.hidden_dim),
-            "quantized": "true" if self.quantized_blocks else "false",
-        }
-        if self.quantized_blocks:
-            arrays = {
-                n: p.data for n, p in self.named_parameters()
-                if n not in self.quantized_blocks
-            }
-            return Checkpoint(self.kind, meta, arrays, dict(self.quantized_blocks))
-        return Checkpoint(self.kind, meta, {n: p.data for n, p in self.named_parameters()})
-
-    @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint") -> "AudioTeacherModel":
-        input_dim = _meta(ckpt, source, "input_dim")
-        hidden_dim = _meta(ckpt, source, "hidden_dim")
-        rng = rng_for(0, "rebuild")
-        bilstm = BiLstm(input_dim, hidden_dim, rng=rng)
-        head = ClassifierHead(2 * hidden_dim, rng=rng)
-        model = cls(bilstm, head)
-        arrays = dict(ckpt.arrays)
-        for name, qm in ckpt.quantized.items():
-            arrays[name] = dequantize(qm)
-        _assign_blocks(model.named_parameters(), arrays, source)
-        if ckpt.quantized:
-            model.quantized_blocks = dict(ckpt.quantized)
-        return model
 
 
 def make_fake_quant_transform(scheme: str):
@@ -234,36 +251,38 @@ def quantized_storage_bytes(model: AudioTeacherModel) -> tuple[int, int]:
     return q_bytes, f_bytes
 
 
-class StudentModel:
+class StudentModel(_Model):
     """Fully trainable fused model: text encoder + BiLSTM + attention fusion."""
 
     kind = "student"
+    META = _ENCODER_META + (
+        ("input_dim", _size), ("hidden_dim", _size), ("fusion_dim", _size),
+        ("multi_head", _parse_bool), ("fusion_heads", _size),
+    )
+    PARTS = (("text.", "encoder"), ("audio.", "bilstm"), ("fusion.", "fusion"), ("", "head"))
+    INPUTS = ("token_ids", "mask", "mfcc")
 
-    def __init__(self, encoder: TextEncoder, bilstm: BiLstm, fusion, head: ClassifierHead):
-        self.encoder = encoder
-        self.bilstm = bilstm
-        self.fusion = fusion
-        self.head = head
+    def _assemble(self, rng, input_dim, hidden_dim, fusion_dim, multi_head, fusion_heads,
+                  **encoder) -> None:
+        self.encoder = TextEncoder(**encoder, rng=rng)
+        self.bilstm = BiLstm(input_dim, hidden_dim, rng=rng)
+        d_t, d_a = encoder["d_model"], 2 * hidden_dim
+        if multi_head:
+            self.fusion = MultiHeadFusion(d_t, d_a, fusion_dim, fusion_heads, rng=rng)
+        else:
+            self.fusion = FusionParams(d_t, d_a, fusion_dim, rng=rng)
+        self.head = ClassifierHead(fusion_dim, rng=rng)
 
     @property
     def multi_head(self) -> bool:
-        return isinstance(self.fusion, MultiHeadFusion)
+        return self.meta["multi_head"]
 
     @classmethod
     def build(cls, vocab_size: int, cfg: RunConfig) -> "StudentModel":
-        rng = rng_for(cfg.seed, "student-init")
-        encoder = TextEncoder(
-            vocab_size, cfg.d_model, cfg.n_layers, cfg.n_heads, cfg.d_ff,
-            cfg.max_len, rng=rng,
-        )
-        bilstm = BiLstm(cfg.n_coeffs, cfg.lstm_hidden, rng=rng)
-        d_t, d_a = cfg.d_model, 2 * cfg.lstm_hidden
-        if cfg.multi_head:
-            fusion = MultiHeadFusion(d_t, d_a, cfg.fusion_dim, cfg.fusion_heads, rng=rng)
-        else:
-            fusion = FusionParams(d_t, d_a, cfg.fusion_dim, rng=rng)
-        head = ClassifierHead(cfg.fusion_dim, rng=rng)
-        return cls(encoder, bilstm, fusion, head)
+        return cls(rng_for(cfg.seed, "student-init"), **_encoder_meta(vocab_size, cfg),
+                   input_dim=cfg.n_coeffs, hidden_dim=cfg.lstm_hidden, fusion_dim=cfg.fusion_dim,
+                   multi_head=bool(cfg.multi_head),
+                   fusion_heads=cfg.fusion_heads if cfg.multi_head else 1)
 
     def _fuse(self, ids, mask, mfcc):
         x_t = self.encoder.forward(ids, mask)
@@ -286,56 +305,6 @@ class StudentModel:
 
     def predict_probs(self, ids, mask, mfcc, temperature: float = 1.0) -> np.ndarray:
         return softmax_np(self.forward_logits(ids, mask, mfcc).data / temperature, axis=-1)
-
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        out = [("text." + n, p) for n, p in self.encoder.named_parameters()]
-        out += [("audio." + n, p) for n, p in self.bilstm.named_parameters()]
-        out += [("fusion." + n, p) for n, p in self.fusion.named_parameters()]
-        out += self.head.named_parameters()
-        return out
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters() if p.trainable]
-
-    def to_checkpoint(self) -> Checkpoint:
-        fusion_heads = self.fusion.n_heads if self.multi_head else 1
-        meta = {
-            "vocab_size": str(self.encoder.vocab_size),
-            "d_model": str(self.encoder.d_model),
-            "n_layers": str(self.encoder.n_layers),
-            "n_heads": str(self.encoder.n_heads),
-            "d_ff": str(self.encoder.d_ff),
-            "max_len": str(self.encoder.max_len),
-            "input_dim": str(self.bilstm.input_dim),
-            "hidden_dim": str(self.bilstm.hidden_dim),
-            "fusion_dim": str(self.fusion.d_h),
-            "multi_head": "true" if self.multi_head else "false",
-            "fusion_heads": str(fusion_heads),
-        }
-        return Checkpoint(self.kind, meta, {n: p.data for n, p in self.named_parameters()})
-
-    @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint") -> "StudentModel":
-        m = {
-            k: _meta(ckpt, source, k)
-            for k in _ENCODER_META + ("input_dim", "hidden_dim", "fusion_dim", "fusion_heads")
-        }
-        multi_head = _meta(ckpt, source, "multi_head", _parse_bool)
-        rng = rng_for(0, "rebuild")
-        encoder = TextEncoder(
-            m["vocab_size"], m["d_model"], m["n_layers"], m["n_heads"], m["d_ff"],
-            m["max_len"], rng=rng,
-        )
-        bilstm = BiLstm(m["input_dim"], m["hidden_dim"], rng=rng)
-        d_t, d_a = m["d_model"], 2 * m["hidden_dim"]
-        if multi_head:
-            fusion = MultiHeadFusion(d_t, d_a, m["fusion_dim"], m["fusion_heads"], rng=rng)
-        else:
-            fusion = FusionParams(d_t, d_a, m["fusion_dim"], rng=rng)
-        head = ClassifierHead(m["fusion_dim"], rng=rng)
-        model = cls(encoder, bilstm, fusion, head)
-        _assign_blocks(model.named_parameters(), ckpt.arrays, source)
-        return model
 
 
 _MODEL_KINDS = {

@@ -248,11 +248,7 @@ def _vocab_size(features_dir) -> int:
 
 def _batch_probs(model, batch: Batch) -> np.ndarray:
     with no_grad():
-        if isinstance(model, TextTeacherModel):
-            return model.predict_probs(batch.token_ids, batch.mask)
-        if isinstance(model, AudioTeacherModel):
-            return model.predict_probs(batch.mfcc)
-        return model.predict_probs(batch.token_ids, batch.mask, batch.mfcc)
+        return model.predict_probs(*model.inputs(batch))
 
 
 def _split_loss_acc(model, examples: list[Example], batch_size: int) -> tuple[float, float]:
@@ -286,57 +282,75 @@ def _write_log(path, header: str, rows: list[str]) -> None:
             f.write(row + "\n")
 
 
-def train_text_teacher(cfg: RunConfig, features_dir, out_dir) -> Path:
-    """LoRA fine-tuning of the text encoder: base frozen, adapters + head
-    trained with cross-entropy."""
+def _fit(cfg: RunConfig, train: list[Example], epochs: int, tag: str, stage: str,
+         step, end_epoch=None) -> list[str]:
+    """The training loop every stage shares. Epoch n shuffles ``train`` with
+    ``rng_for(cfg.seed, f"{tag}-epoch-{n}")`` and calls ``step(batch, where)``
+    per batch, where ``where`` reads ``"<stage>, epoch n, batch i"``; then
+    ``end_epoch(n, step_results)``, if given, returns that epoch's log row."""
+    rows = []
+    for epoch in range(1, epochs + 1):
+        rng = rng_for(cfg.seed, f"{tag}-epoch-{epoch}")
+        results = [step(batch, f"{stage}, epoch {epoch}, batch {i}")
+                   for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1)]
+        if end_epoch is not None:
+            rows.append(end_epoch(epoch, results))
+    return rows
+
+
+def _train_teacher(cfg: RunConfig, features_dir, out_dir, model, name: str, optimizer: str,
+                   lr: float, epochs: int, sched: PlateauScheduler | None = None) -> Path:
+    """Cross-entropy training of one teacher; writes ``<name>_log.csv`` and
+    ``<name>.ckpt``. ``name`` (``text_teacher``) also gives the epoch RNG tag
+    (``text-teacher``) and the stage its errors name (``text teacher``).
+    ``sched``, if given, sets the lr from each epoch's validation loss."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
-    model = TextTeacherModel.build(_vocab_size(features_dir), cfg)
-    opt = make_optimizer(cfg.optimizer_text, model.trainable_parameters(),
-                         cfg.lr_text, cfg.weight_decay)
-    rows = []
-    for epoch in range(1, cfg.epochs_text + 1):
-        rng = rng_for(cfg.seed, f"text-teacher-epoch-{epoch}")
-        losses = []
-        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
-            loss = ce_loss_tensor(model.forward_logits(batch.token_ids, batch.mask),
-                                  one_hot(batch.labels))
-            losses.append(_step(loss, opt, f"text teacher, epoch {epoch}, batch {i}"))
+    opt = make_optimizer(optimizer, model.trainable_parameters(), lr, cfg.weight_decay)
+
+    def step(batch, where):
+        logits = model.forward_logits(*model.inputs(batch))
+        return _step(ce_loss_tensor(logits, one_hot(batch.labels)), opt, where)
+
+    def end_epoch(epoch, losses):
         val_loss, val_acc = _split_loss_acc(model, val, cfg.batch_size)
-        rows.append(f"{epoch},{float(np.mean(losses))!r},{val_loss!r},{val_acc!r},{opt.lr!r}")
-    _write_log(out_dir / "text_teacher_log.csv", "epoch,train_loss,val_loss,val_accuracy,lr", rows)
-    path = out_dir / "text_teacher.ckpt"
+        if sched is not None:
+            opt.lr = sched.update(val_loss, opt.lr)
+        return f"{epoch},{float(np.mean(losses))!r},{val_loss!r},{val_acc!r},{opt.lr!r}"
+
+    rows = _fit(cfg, train, epochs, name.replace("_", "-"), name.replace("_", " "), step, end_epoch)
+    _write_log(out_dir / f"{name}_log.csv", "epoch,train_loss,val_loss,val_accuracy,lr", rows)
+    path = out_dir / f"{name}.ckpt"
     save_checkpoint(path, model.to_checkpoint())
     return path
+
+
+def train_text_teacher(cfg: RunConfig, features_dir, out_dir) -> Path:
+    """LoRA fine-tuning of the text encoder: base frozen, adapters + head
+    trained with cross-entropy."""
+    model = TextTeacherModel.build(_vocab_size(features_dir), cfg)
+    return _train_teacher(cfg, features_dir, out_dir, model, "text_teacher",
+                          cfg.optimizer_text, cfg.lr_text, cfg.epochs_text)
 
 
 def train_audio_teacher(cfg: RunConfig, features_dir, out_dir) -> Path:
     """BiLSTM audio classifier trained with cross-entropy and a
     reduce-on-plateau schedule on the validation loss."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train = load_split_examples(cfg, features_dir, "train")
-    val = load_split_examples(cfg, features_dir, "validation")
-    model = AudioTeacherModel.build(cfg)
-    opt = make_optimizer(cfg.optimizer_audio, model.trainable_parameters(),
-                         cfg.lr_audio, cfg.weight_decay)
     sched = PlateauScheduler(cfg.plateau_factor, cfg.plateau_patience, cfg.plateau_min_lr)
-    rows = []
-    for epoch in range(1, cfg.epochs_audio + 1):
-        rng = rng_for(cfg.seed, f"audio-teacher-epoch-{epoch}")
-        losses = []
-        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
-            loss = ce_loss_tensor(model.forward_logits(batch.mfcc), one_hot(batch.labels))
-            losses.append(_step(loss, opt, f"audio teacher, epoch {epoch}, batch {i}"))
-        val_loss, val_acc = _split_loss_acc(model, val, cfg.batch_size)
-        opt.lr = sched.update(val_loss, opt.lr)
-        rows.append(f"{epoch},{float(np.mean(losses))!r},{val_loss!r},{val_acc!r},{opt.lr!r}")
-    _write_log(out_dir / "audio_teacher_log.csv", "epoch,train_loss,val_loss,val_accuracy,lr", rows)
-    path = out_dir / "audio_teacher.ckpt"
-    save_checkpoint(path, model.to_checkpoint())
-    return path
+    return _train_teacher(cfg, features_dir, out_dir, AudioTeacherModel.build(cfg),
+                          "audio_teacher", cfg.optimizer_audio, cfg.lr_audio, cfg.epochs_audio,
+                          sched)
+
+
+def _load_kind(path, cls, expected: str):
+    """The model in ``path``; a checkpoint of another kind raises ValueError
+    naming the file, the kind it holds and ``expected``."""
+    model = load_model(path)
+    if not isinstance(model, cls):
+        raise ValueError(f"{path}: holds kind {model.kind!r}; {expected}")
+    return model
 
 
 class _RowCachedTeacher:
@@ -371,10 +385,9 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     out_dir.mkdir(parents=True, exist_ok=True)
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
-    text_teacher = load_model(text_ckpt)
-    audio_teacher = load_model(audio_ckpt)
-    if not isinstance(text_teacher, TextTeacherModel) or not isinstance(audio_teacher, AudioTeacherModel):
-        raise ValueError("teacher checkpoints must be a text teacher and an audio teacher")
+    expected = "teacher checkpoints must be a text teacher and an audio teacher"
+    text_teacher = _load_kind(text_ckpt, TextTeacherModel, expected)
+    audio_teacher = _load_kind(audio_ckpt, AudioTeacherModel, expected)
     text_teacher.freeze_all()
     audio_teacher.freeze_all()
     teachers = (_RowCachedTeacher(text_teacher), _RowCachedTeacher(audio_teacher))
@@ -382,18 +395,18 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     dcfg = DistillConfig(cfg.alpha, cfg.teacher_mix_beta, cfg.temperature)
     opt = make_optimizer(cfg.optimizer_student, student.trainable_parameters(),
                          cfg.lr_student, cfg.weight_decay)
-    rows = []
-    for epoch in range(1, cfg.epochs_student + 1):
-        rng = rng_for(cfg.seed, f"student-epoch-{epoch}")
-        parts = []
-        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
-            parts.append(student_train_step(batch, teachers, student, dcfg, opt,
-                                            where=f"student, epoch {epoch}, batch {i}"))
+
+    def step(batch, where):
+        return student_train_step(batch, teachers, student, dcfg, opt, where=where)
+
+    def end_epoch(epoch, parts):
         kl = float(np.mean([b.kl_term for b in parts]))
         ce = float(np.mean([b.ce_term for b in parts]))
         total = float(np.mean([b.total for b in parts]))
         val_loss, val_acc = _split_loss_acc(student, val, cfg.batch_size)
-        rows.append(f"{epoch},{kl!r},{ce!r},{total!r},{val_loss!r},{val_acc!r},{opt.lr!r}")
+        return f"{epoch},{kl!r},{ce!r},{total!r},{val_loss!r},{val_acc!r},{opt.lr!r}"
+
+    rows = _fit(cfg, train, cfg.epochs_student, "student", "student", step, end_epoch)
     _write_log(out_dir / "student_log.csv",
                "epoch,kl_term,ce_term,total,val_loss,val_accuracy,lr", rows)
     path = out_dir / "student.ckpt"
@@ -410,19 +423,17 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(audio_ckpt)
-    if not isinstance(model, AudioTeacherModel):
-        raise ValueError(f"expected an audio-teacher checkpoint, got {model.kind!r}")
+    model = _load_kind(audio_ckpt, AudioTeacherModel, "expected an audio-teacher checkpoint")
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     transform = make_fake_quant_transform(cfg.quant_scheme)
     opt = make_optimizer("adam", model.trainable_parameters(), cfg.lr_qat)
-    for epoch in range(1, cfg.epochs_qat + 1):
-        rng = rng_for(cfg.seed, f"qat-epoch-{epoch}")
-        for i, batch in enumerate(make_batches(train, cfg.batch_size, rng), 1):
-            loss = ce_loss_tensor(model.forward_logits(batch.mfcc, transform),
-                                  one_hot(batch.labels))
-            _step(loss, opt, f"QAT, epoch {epoch}, batch {i}")
+
+    def step(batch, where):
+        logits = model.forward_logits(batch.mfcc, transform)
+        _step(ce_loss_tensor(logits, one_hot(batch.labels)), opt, where)
+
+    _fit(cfg, train, cfg.epochs_qat, "qat", "QAT", step)
     float_preds = _predictions(model, val, cfg.batch_size)
     quantize_model(model, cfg.quant_scheme)
     quant_preds = _predictions(model, val, cfg.batch_size)
@@ -460,7 +471,7 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
     for batch in make_batches(examples, cfg.batch_size):
         if isinstance(model, StudentModel):
             with no_grad():
-                logits, weights = model.forward_with_attention(batch.token_ids, batch.mask, batch.mfcc)
+                logits, weights = model.forward_with_attention(*model.inputs(batch))
             probs = softmax_np(logits.data, axis=-1)
             for i, pid in enumerate(batch.ids):
                 for h in range(weights.shape[1]):

@@ -279,14 +279,61 @@ class TestCheckpointValidation:
             with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: missing meta key '{key}'"):
                 load_model(path)
 
+    # Values that do not parse, or parse out of range: sizes must be >= 1,
+    # lora_rank >= 0, floats finite. The pairs in IN_RANGE are valid.
+    BAD_VALUES = ("4.5x", "0", "-4", "nan", "inf")
+    IN_RANGE = {("lora_rank", "0"), ("lora_alpha", "0"), ("lora_alpha", "-4")}
+
     @pytest.mark.parametrize("kind", sorted(REQUIRED_META))
     def test_unparseable_meta_value_names_file_and_key(self, tmp_path, kind):
         ckpt = self._model(kind).to_checkpoint()
         for key in self.REQUIRED_META[kind]:
-            meta = dict(ckpt.meta, **{key: "4.5x"})
-            path = self._save(tmp_path / f"{key}.ckpt", ckpt, meta)
-            with pytest.raises(CheckpointError, match=rf"{re.escape(str(path))}: meta key '{key}'"):
-                load_model(path)
+            for n, value in enumerate(self.BAD_VALUES):
+                if (key, value) in self.IN_RANGE:
+                    continue
+                meta = dict(ckpt.meta, **{key: value})
+                path = self._save(tmp_path / f"{key}-{n}.ckpt", ckpt, meta)
+                with pytest.raises(CheckpointError,
+                                   match=rf"{re.escape(str(path))}: meta key '{key}' "
+                                         rf"has invalid value '{re.escape(value)}'"):
+                    load_model(path)
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("text-teacher", "n_heads", "3", "d_model 8 not divisible by n_heads 3"),
+        ("student", "n_heads", "3", "d_model 8 not divisible by n_heads 3"),
+        ("text-teacher", "lora_rank", "9", r"rank must lie in \[1, 8\], got 9"),
+    ], ids=["text-n_heads", "student-n_heads", "text-lora_rank"])
+    def test_inconsistent_meta_names_file(self, tmp_path, kind, key, value, message):
+        """Values valid one by one that the model's constructor rejects
+        together raise CheckpointError naming the file."""
+        ckpt = self._model(kind).to_checkpoint()
+        path = self._save(tmp_path / "odd.ckpt", ckpt, dict(ckpt.meta, **{key: value}))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: {message}$"):
+            load_model(path)
+
+    def test_meta_keys_order_and_strings(self):
+        """The meta each kind writes, key order and value strings included;
+        a text teacher without adapters stores lora_alpha as 0.0 and a
+        single-head student stores fusion_heads as 1."""
+        encoder = {"vocab_size": "12", "d_model": "8", "n_layers": "1", "n_heads": "2",
+                   "d_ff": "16", "max_len": "10"}
+        student = {**encoder, "input_dim": "3", "hidden_dim": "4", "fusion_dim": "6"}
+        cases = [
+            (TextTeacherModel.build(12, _tiny_cfg()),
+             {**encoder, "lora_rank": "2", "lora_alpha": "8.0"}),
+            (TextTeacherModel.build(12, _tiny_cfg(lora_rank=0)),
+             {**encoder, "lora_rank": "0", "lora_alpha": "0.0"}),
+            (AudioTeacherModel.build(_tiny_cfg()),
+             {"input_dim": "3", "hidden_dim": "4", "quantized": "false"}),
+            (quantize_model(AudioTeacherModel.build(_tiny_cfg())),
+             {"input_dim": "3", "hidden_dim": "4", "quantized": "true"}),
+            (StudentModel.build(12, _tiny_cfg()),
+             {**student, "multi_head": "true", "fusion_heads": "2"}),
+            (StudentModel.build(12, _tiny_cfg(multi_head=False)),
+             {**student, "multi_head": "false", "fusion_heads": "1"}),
+        ]
+        for model, meta in cases:
+            assert list(model.to_checkpoint().meta.items()) == list(meta.items())
 
     @pytest.mark.parametrize("kind", sorted(REQUIRED_META))
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,6 +4,7 @@ evaluation artifacts, the ablation grid, and the single-command full run.
 """
 
 import dataclasses
+import re
 import types
 
 import numpy as np
@@ -303,9 +304,28 @@ class TestTeacherTraining:
         assert len(log) == 1 + workspace.cfg.epochs_audio
 
     def test_training_is_deterministic(self, workspace, teacher_ckpts, tmp_path):
-        text_ckpt, _ = teacher_ckpts
-        again = train_text_teacher(workspace.cfg, workspace.features, tmp_path / "t2")
-        assert again.read_bytes() == text_ckpt.read_bytes()
+        """Every stage of the shared fit loop, re-run with the same config,
+        writes the same checkpoint, epoch log and QAT report bytes."""
+        text_ckpt, audio_ckpt = teacher_ckpts
+        cfg, features = workspace.cfg, workspace.features
+        for run in ("a", "b"):
+            out = tmp_path / run
+            train_text_teacher(cfg, features, out / "teachers")
+            train_audio_teacher(cfg, features, out / "teachers")
+            train_student(cfg, features, text_ckpt, audio_ckpt, out / "student")
+            quantize_pipeline(cfg, audio_ckpt, features, out / "quant")
+        a, b = tmp_path / "a", tmp_path / "b"
+        files = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+        assert files == [
+            "quant/audio_teacher_quantized.ckpt", "quant/quantization.txt",
+            "student/student.ckpt", "student/student_log.csv",
+            "teachers/audio_teacher.ckpt", "teachers/audio_teacher_log.csv",
+            "teachers/text_teacher.ckpt", "teachers/text_teacher_log.csv",
+        ]
+        for name in files:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        for ckpt in (text_ckpt, audio_ckpt):
+            assert (a / "teachers" / ckpt.name).read_bytes() == ckpt.read_bytes()
 
 
 class TestStudentTraining:
@@ -340,6 +360,17 @@ class TestStudentTraining:
             train_student(workspace.cfg, workspace.features, audio_ckpt,
                           text_ckpt, tmp_path / "bad")
 
+    def test_wrong_kind_teacher_names_file_and_kind(self, workspace, teacher_ckpts,
+                                                     tmp_path):
+        text_ckpt, audio_ckpt = teacher_ckpts
+        for text, audio, bad, kind in ((audio_ckpt, text_ckpt, audio_ckpt, "audio-teacher"),
+                                       (text_ckpt, text_ckpt, text_ckpt, "text-teacher")):
+            message = (rf"^{re.escape(str(bad))}: holds kind '{kind}'; "
+                       "teacher checkpoints must be a text teacher and an audio teacher$")
+            with pytest.raises(ValueError, match=message):
+                train_student(workspace.cfg, workspace.features, text, audio, tmp_path / "bad")
+        assert not (tmp_path / "bad" / "student.ckpt").exists()
+
 
 class TestQuantizePipeline:
     def test_artifacts_and_accounting(self, workspace, teacher_ckpts, tmp_path):
@@ -366,6 +397,14 @@ class TestQuantizePipeline:
         with pytest.raises(ValueError, match="audio-teacher"):
             quantize_pipeline(workspace.cfg, text_ckpt, workspace.features,
                               tmp_path / "q")
+
+    def test_text_checkpoint_names_file_and_kind(self, workspace, teacher_ckpts, tmp_path):
+        text_ckpt, _ = teacher_ckpts
+        message = (rf"^{re.escape(str(text_ckpt))}: holds kind 'text-teacher'; "
+                   "expected an audio-teacher checkpoint$")
+        with pytest.raises(ValueError, match=message):
+            quantize_pipeline(workspace.cfg, text_ckpt, workspace.features, tmp_path / "q")
+        assert not (tmp_path / "q" / "audio_teacher_quantized.ckpt").exists()
 
 
 def _count_steps(monkeypatch):
