@@ -21,7 +21,6 @@ __all__ = [
     "MfccConfig",
     "VadConfig",
     "WaveForm",
-    "batch_features",
     "design_lowpass_fir",
     "fix_length",
     "hz_to_mel",
@@ -207,14 +206,6 @@ class FeatureSequence:
         if self.frames.ndim != 2:
             raise ValueError(f"frames must be 2-d, got shape {self.frames.shape}")
 
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.frames.shape[1]
-
 
 def mel_filterbank(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
     """Triangular mel filters evaluated at the rfft bin centers.
@@ -298,23 +289,6 @@ def fix_length(seq: FeatureSequence, target_frames: int = 60) -> FeatureSequence
     out = np.zeros((target_frames, c))
     out[:t] = seq.frames
     return FeatureSequence(out)
-
-
-def batch_features(
-    seqs: list[FeatureSequence], target_frames: int = 60, batch_size: int = 4
-) -> list[np.ndarray]:
-    """Fix every sequence's length and group into (B, T, C) arrays in order;
-    the final batch holds the remainder.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not seqs:
-        raise ValueError("no feature sequences to batch")
-    fixed = [fix_length(s, target_frames).frames for s in seqs]
-    return [
-        np.stack(fixed[i : i + batch_size])
-        for i in range(0, len(fixed), batch_size)
-    ]
 
 
 # ---------------------------------------------------------------- file I/O

@@ -25,7 +25,7 @@ class RunConfig:
     text_teacher_ckpt: str = ""
     audio_teacher_ckpt: str = ""
     eval_split: str = "test"
-    threads: int = 0  # 0 = one worker per cpu, capped by DISTILLFUSE_THREADS
+    threads: int = 0  # preprocess workers; 0 = one per CPU
 
     # text front end
     interviewer: str = "Ellie"

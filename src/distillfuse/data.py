@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 LABELS_HEADER = "Participant_ID,PHQ8_Binary"
-SPLIT_NAMES = ("train", "validation", "test")
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
 
@@ -59,17 +58,6 @@ class ManifestEntry:
 class DatasetManifest:
     entries: list[ManifestEntry]
     split_of: dict[int, str]
-
-    def ids_for(self, split: str) -> list[int]:
-        if split not in SPLIT_NAMES:
-            raise ValueError(f"unknown split {split!r}, expected one of {SPLIT_NAMES}")
-        return sorted(pid for pid, s in self.split_of.items() if s == split)
-
-    def entry(self, participant_id: int) -> ManifestEntry:
-        for e in self.entries:
-            if e.participant_id == participant_id:
-                return e
-        raise KeyError(f"participant {participant_id} not in manifest")
 
 
 def _read_labels(path: Path) -> dict[int, int]:
@@ -92,7 +80,7 @@ def _read_labels(path: Path) -> dict[int, int]:
     return labels
 
 
-def load_dataset(data_dir, labels_path=None, seed: int = 0) -> DatasetManifest:
+def load_dataset(data_dir, seed: int = 0) -> DatasetManifest:
     """Scan a dataset directory, pair transcripts with audio and labels, and
     assign a deterministic 70/15/15 split by seeded shuffle of the ids.
 
@@ -100,7 +88,7 @@ def load_dataset(data_dir, labels_path=None, seed: int = 0) -> DatasetManifest:
     with a logged warning.
     """
     data_dir = Path(data_dir)
-    labels_path = Path(labels_path) if labels_path else data_dir / "labels.csv"
+    labels_path = data_dir / "labels.csv"
     if not labels_path.exists():
         raise FileNotFoundError(f"labels file not found: {labels_path}")
     labels = _read_labels(labels_path)

@@ -15,20 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, clamp_min, softmax, softmax_np
+from .tensor import Tensor, clamp_min, softmax
 
 __all__ = [
     "DistillConfig",
     "LossBreakdown",
     "combine_teacher_targets",
-    "cross_entropy",
     "distill_loss_tensors",
-    "kl_divergence",
     "require_finite_grads",
     "require_finite_loss",
-    "softmax_np",
     "student_train_step",
-    "total_loss",
 ]
 
 PROB_EPS = 1e-12
@@ -66,29 +62,6 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
-def kl_divergence(p, q, eps: float = PROB_EPS) -> float:
-    """sum_x p(x) * ln(p(x) / q(x)), natural log; q is clamped below by eps
-    and p(x) = 0 terms contribute exactly zero."""
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.shape != q.shape:
-        raise ValueError(f"p and q shapes differ: {p.shape} vs {q.shape}")
-    qc = np.maximum(q, eps)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / qc[mask])))
-
-
-def cross_entropy(y, p, eps: float = PROB_EPS) -> float:
-    """-sum_i y_i * ln(p_i) for a one-hot y (entries exactly 0 or 1, one 1)."""
-    y = np.asarray(y, dtype=np.float64)
-    if not (np.all((y == 0.0) | (y == 1.0)) and y.sum() == 1.0):
-        raise ValueError("y must be one-hot (entries in {0, 1}, exactly one 1)")
-    p = _check_distribution(p, "p")
-    if y.shape != p.shape:
-        raise ValueError(f"y and p shapes differ: {y.shape} vs {p.shape}")
-    return float(-np.log(np.maximum(p[y == 1.0][0], eps)))
-
-
 def combine_teacher_targets(p_text, p_audio, beta: float = 0.5) -> np.ndarray:
     """Convex mixture beta * p_text + (1 - beta) * p_audio (rowwise for 2-d)."""
     if not (0.0 <= beta <= 1.0):
@@ -102,15 +75,6 @@ def combine_teacher_targets(p_text, p_audio, beta: float = 0.5) -> np.ndarray:
     for row in np.atleast_2d(p_audio):
         _check_distribution(row, "p_audio")
     return beta * p_text + (1.0 - beta) * p_audio
-
-
-def total_loss(p_teacher, q_student, y, cfg: DistillConfig | None = None) -> LossBreakdown:
-    """alpha * T^2 * KL(p_teacher || q_student) + (1 - alpha) * CE(y, q_student)."""
-    cfg = cfg or DistillConfig()
-    t2 = cfg.temperature * cfg.temperature
-    kl = t2 * kl_divergence(p_teacher, q_student)
-    ce = cross_entropy(y, q_student)
-    return LossBreakdown(kl, ce, cfg.alpha * kl + (1.0 - cfg.alpha) * ce)
 
 
 def distill_loss_tensors(

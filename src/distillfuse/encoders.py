@@ -34,7 +34,6 @@ __all__ = [
     "ClassifierHead",
     "LoraAdapter",
     "TextEncoder",
-    "bilstm_forward",
     "layer_norm",
     "linear",
     "lora_effective_weight",
@@ -264,9 +263,6 @@ class TextEncoder:
         """Everything except the low-rank adapters."""
         return [p for n, p in self.named_parameters() if ".lora_" not in n]
 
-    def adapter_parameters(self) -> list[Parameter]:
-        return [p for n, p in self.named_parameters() if ".lora_" in n]
-
     def freeze_base(self) -> None:
         for p in self.base_parameters():
             p.freeze()
@@ -371,19 +367,8 @@ def _lstm_np(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, h: in
     return hs, h_sum * (1.0 / t_steps)
 
 
-def bilstm_forward(frames: np.ndarray, model: BiLstm) -> Tensor:
-    """Final-state features [h_forward_last, h_backward_last] for one sequence
-    (T, D) or a batch (B, T, D)."""
-    x = np.asarray(frames, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    out = model.final_states(x)
-    return out[0, :] if single else out
-
-
 class ClassifierHead:
-    """Affine map to 2 logits; probabilities via softmax."""
+    """Affine map to 2 logits."""
 
     def __init__(self, d_in: int, n_classes: int = 2, *, rng):
         self.w = uniform_param(rng, (n_classes, d_in), fan_in=d_in)
@@ -391,9 +376,6 @@ class ClassifierHead:
 
     def logits(self, features: Tensor) -> Tensor:
         return linear(features, self.w, self.b)
-
-    def probs(self, features: Tensor) -> Tensor:
-        return softmax(self.logits(features), axis=-1)
 
     def named_parameters(self, prefix: str = "head.") -> list[tuple[str, Parameter]]:
         return [(prefix + "w", self.w), (prefix + "b", self.b)]

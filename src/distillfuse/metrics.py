@@ -17,7 +17,6 @@ __all__ = [
     "RocCurve",
     "compute_metrics",
     "emit_report",
-    "parse_metrics_file",
     "roc_auc",
 ]
 
@@ -149,7 +148,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def emit_report(report: MetricsReport, curve: RocCurve | None, out_dir, prefix: str = "") -> tuple[Path, Path | None]:
+def emit_report(report: MetricsReport, curve: RocCurve | None, out_dir) -> tuple[Path, Path | None]:
     """Write ``metrics.txt`` (key=value lines) and ``roc.csv`` under out_dir.
 
     Float values are written with full round-trip precision; identical inputs
@@ -175,32 +174,14 @@ def emit_report(report: MetricsReport, curve: RocCurve | None, out_dir, prefix: 
     ]
     if report.auc is not None:
         lines.append(f"auc={_fmt(report.auc)}")
-    metrics_path = out_dir / f"{prefix}metrics.txt"
+    metrics_path = out_dir / "metrics.txt"
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
     roc_path = None
     if curve is not None:
-        roc_path = out_dir / f"{prefix}roc.csv"
+        roc_path = out_dir / "roc.csv"
         with open(roc_path, "w", encoding="utf-8", newline="\n") as f:
             f.write("fpr,tpr,threshold\n")
             for fpr, tpr, thr in curve.points:
                 f.write(f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n")
     return metrics_path, roc_path
-
-
-def parse_metrics_file(path) -> dict[str, float | int | bool]:
-    """Read a metrics.txt back into typed values."""
-    out: dict[str, float | int | bool] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if value in ("true", "false"):
-                out[key] = value == "true"
-            elif key.startswith(("n", "support")):
-                out[key] = int(value)
-            else:
-                out[key] = float(value)
-    return out

@@ -45,7 +45,6 @@ from .data import (
 )
 from .distill import (
     DistillConfig,
-    LossBreakdown,
     ce_loss_tensor,
     one_hot,
     require_finite_grads,
@@ -71,7 +70,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "ablate",
-    "effective_threads",
     "evaluate_model",
     "load_split_examples",
     "preprocess",
@@ -81,22 +79,6 @@ __all__ = [
     "train_student",
     "train_text_teacher",
 ]
-
-THREADS_ENV = "DISTILLFUSE_THREADS"
-
-
-def effective_threads(cfg: RunConfig) -> int:
-    n = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}") from None
-        if cap < 1:
-            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
-        n = min(n, cap)
-    return max(1, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,6 +148,8 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
     turns), ``vocab.txt`` (built from the training split only), and
     ``splits.csv``.
     """
+    if cfg.threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = one worker per CPU), got {cfg.threads}")
     features_dir = Path(features_dir)
     features_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_dataset(data_dir, seed=cfg.seed)
@@ -177,7 +161,8 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
 
     # Each clip's mel projection is large enough for OpenBLAS to start its own
     # threads, which then fight the pool's workers for the same cores.
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=effective_threads(cfg)) as pool:
+    workers = cfg.threads or os.cpu_count()
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(one, entries))
 
     train_texts = []
@@ -246,9 +231,9 @@ def _vocab_size(features_dir) -> int:
 # ------------------------------------------------------------- training
 
 
-def _batch_probs(model, batch: Batch) -> np.ndarray:
+def _batch_probs(model, batch: Batch, temperature: float = 1.0) -> np.ndarray:
     with no_grad():
-        return model.predict_probs(*model.inputs(batch))
+        return model.predict_probs(*model.inputs(batch), temperature=temperature)
 
 
 def _split_loss_acc(model, examples: list[Example], batch_size: int) -> tuple[float, float]:
@@ -287,7 +272,10 @@ def _fit(cfg: RunConfig, train: list[Example], epochs: int, tag: str, stage: str
     """The training loop every stage shares. Epoch n shuffles ``train`` with
     ``rng_for(cfg.seed, f"{tag}-epoch-{n}")`` and calls ``step(batch, where)``
     per batch, where ``where`` reads ``"<stage>, epoch n, batch i"``; then
-    ``end_epoch(n, step_results)``, if given, returns that epoch's log row."""
+    ``end_epoch(n, step_results)``, if given, returns that epoch's log row.
+    A negative ``epochs`` raises ValueError naming ``stage``."""
+    if epochs < 0:
+        raise ValueError(f"{stage}: epochs must be >= 0, got {epochs}")
     rows = []
     for epoch in range(1, epochs + 1):
         rng = rng_for(cfg.seed, f"{tag}-epoch-{epoch}")
@@ -353,30 +341,17 @@ def _load_kind(path, cls, expected: str):
     return model
 
 
-class _RowCachedTeacher:
-    """Memoizes a frozen teacher's per-example probabilities.
+class _TeacherRows:
+    """One batch's rows of a frozen teacher's table, shaped as a teacher.
+    ``student_train_step`` asks its teachers for ``predict_probs`` (the
+    benchmark's probes pass their own), so each step wraps its rows in this
+    rather than give the step a second signature."""
 
-    Teachers process examples independently, so each row's output is keyed by
-    its input bytes; across epochs the same examples reappear in different
-    batch arrangements and hit the cache.
-    """
-
-    def __init__(self, model):
-        self.model = model
-        self._cache: dict = {}
+    def __init__(self, probs: np.ndarray):
+        self.probs = probs
 
     def predict_probs(self, *arrays, temperature: float = 1.0) -> np.ndarray:
-        n = arrays[0].shape[0]
-        keys = [
-            (temperature,) + tuple(np.ascontiguousarray(a[i]).tobytes() for a in arrays)
-            for i in range(n)
-        ]
-        miss = [i for i, k in enumerate(keys) if k not in self._cache]
-        if miss:
-            probs = self.model.predict_probs(*(a[miss] for a in arrays), temperature=temperature)
-            for row, i in enumerate(miss):
-                self._cache[keys[i]] = probs[row]
-        return np.stack([self._cache[k] for k in keys])
+        return self.probs
 
 
 def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) -> Path:
@@ -390,13 +365,20 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     audio_teacher = _load_kind(audio_ckpt, AudioTeacherModel, expected)
     text_teacher.freeze_all()
     audio_teacher.freeze_all()
-    teachers = (_RowCachedTeacher(text_teacher), _RowCachedTeacher(audio_teacher))
+    # The teachers are frozen: score the split once, in batches that bound
+    # the attention scores' memory, and index the rows by example.
+    row_of = {ex.participant_id: i for i, ex in enumerate(train)}
+    batches = make_batches(train, cfg.batch_size)
+    tables = [np.concatenate([_batch_probs(t, b, cfg.temperature) for b in batches])
+              for t in (text_teacher, audio_teacher)]
     student = StudentModel.build(_vocab_size(features_dir), cfg)
     dcfg = DistillConfig(cfg.alpha, cfg.teacher_mix_beta, cfg.temperature)
     opt = make_optimizer(cfg.optimizer_student, student.trainable_parameters(),
                          cfg.lr_student, cfg.weight_decay)
 
     def step(batch, where):
+        rows = [row_of[pid] for pid in batch.ids]
+        teachers = tuple(_TeacherRows(table[rows]) for table in tables)
         return student_train_step(batch, teachers, student, dcfg, opt, where=where)
 
     def end_epoch(epoch, parts):

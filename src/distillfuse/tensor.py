@@ -139,25 +139,10 @@ class Tensor:
 
     # ------------------------------------------------------------------ misc
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() requires a single element, got shape {self.data.shape}")
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -229,9 +214,6 @@ class Tensor:
 
         return _make(out, (self, other), backward)
 
-    def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other).__sub__(self)
-
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
         _bcast_check(self, other, "mul")
@@ -259,9 +241,6 @@ class Tensor:
                 _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
         return _make(out, (self, other), backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return _as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         out = -self.data
@@ -309,15 +288,6 @@ class Tensor:
         return _make(out, (self, other), backward)
 
     # ------------------------------------------------------------ activations
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-
-        def backward(g, a=self, y=out):
-            if a.requires_grad:
-                _accum(a, g * y)
-
-        return _make(out, (self,), backward)
 
     def log(self) -> "Tensor":
         if np.any(self.data <= 0.0):

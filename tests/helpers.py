@@ -1,5 +1,8 @@
 """Shared test utilities: central finite-difference gradient checking and
-reference implementations that vectorized code is compared against.
+reference implementations that vectorized code is compared against: the
+scalar KL, cross-entropy and blended distillation loss that the batch
+tensors' losses in ``distill`` are checked against, frame-by-frame VAD, and
+a ``metrics.txt`` reader.
 
 The numeric gradient is an independent oracle for every analytic backward
 pass in the package: perturb one input coordinate at a time by +-h and take
@@ -9,6 +12,7 @@ the centered difference of the scalar output.
 import numpy as np
 
 from distillfuse.audio import VadConfig, WaveForm
+from distillfuse.distill import PROB_EPS, DistillConfig, LossBreakdown, _check_distribution
 from distillfuse.tensor import Tensor
 
 FD_H = 1e-5
@@ -91,3 +95,53 @@ def vad_segments_reference(w: WaveForm, cfg: VadConfig) -> list[tuple[int, int]]
         segments.append((starts[k], min(starts[j] + frame, n)))
         k = j + 1
     return segments
+
+
+def kl_divergence(p, q, eps: float = PROB_EPS) -> float:
+    """sum_x p(x) * ln(p(x) / q(x)), natural log; q is clamped below by eps
+    and p(x) = 0 terms contribute exactly zero."""
+    p = _check_distribution(p, "p")
+    q = _check_distribution(q, "q")
+    if p.shape != q.shape:
+        raise ValueError(f"p and q shapes differ: {p.shape} vs {q.shape}")
+    qc = np.maximum(q, eps)
+    mask = p > 0.0
+    return float(np.sum(p[mask] * np.log(p[mask] / qc[mask])))
+
+
+def cross_entropy(y, p, eps: float = PROB_EPS) -> float:
+    """-sum_i y_i * ln(p_i) for a one-hot y (entries exactly 0 or 1, one 1)."""
+    y = np.asarray(y, dtype=np.float64)
+    if not (np.all((y == 0.0) | (y == 1.0)) and y.sum() == 1.0):
+        raise ValueError("y must be one-hot (entries in {0, 1}, exactly one 1)")
+    p = _check_distribution(p, "p")
+    if y.shape != p.shape:
+        raise ValueError(f"y and p shapes differ: {y.shape} vs {p.shape}")
+    return float(-np.log(np.maximum(p[y == 1.0][0], eps)))
+
+
+def total_loss(p_teacher, q_student, y, cfg: DistillConfig | None = None) -> LossBreakdown:
+    """alpha * T^2 * KL(p_teacher || q_student) + (1 - alpha) * CE(y, q_student)."""
+    cfg = cfg or DistillConfig()
+    t2 = cfg.temperature * cfg.temperature
+    kl = t2 * kl_divergence(p_teacher, q_student)
+    ce = cross_entropy(y, q_student)
+    return LossBreakdown(kl, ce, cfg.alpha * kl + (1.0 - cfg.alpha) * ce)
+
+
+def parse_metrics_file(path) -> dict[str, float | int | bool]:
+    """Read a ``metrics.txt`` back into typed values."""
+    out: dict[str, float | int | bool] = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            key, _, value = line.partition("=")
+            if value in ("true", "false"):
+                out[key] = value == "true"
+            elif key.startswith(("n", "support")):
+                out[key] = int(value)
+            else:
+                out[key] = float(value)
+    return out

@@ -6,7 +6,8 @@ run prints exactly one pass/fail line per criterion.
    whole audit under 60 seconds.
 2. Attention fusion against from-the-formula arithmetic at 1e-12, with
    exact convex weights and componentwise bracketing.
-3. Distillation algebra: alpha-linearity at 1e-12 with exact endpoints,
+3. Distillation algebra: alpha-linearity at 1e-12 with exact endpoints, on
+   the scalar reference loss and on the batch loss the student trains on,
    and KL nonnegativity with zero exactly at identical distributions.
 4. MFCC frontend against a from-first-principles recomputation at 1e-6,
    tone localization in the mel filterbank, and FIR pass/stop behaviour.
@@ -47,12 +48,8 @@ from distillfuse.data import synth_generate
 from distillfuse.distill import (
     DistillConfig,
     ce_loss_tensor,
-    cross_entropy,
     distill_loss_tensors,
-    kl_divergence,
     one_hot,
-    softmax_np,
-    total_loss,
 )
 from distillfuse.encoders import (
     MASK_NEG,
@@ -79,9 +76,9 @@ from distillfuse.pipeline import (
     train_text_teacher,
 )
 from distillfuse.quant import calibrate, dequantize, fake_quant, quantize
-from distillfuse.tensor import Tensor, clamp_min, softmax
+from distillfuse.tensor import Tensor, clamp_min, softmax, softmax_np
 
-from helpers import check_grads
+from helpers import check_grads, cross_entropy, kl_divergence, total_loss
 
 
 # =====================================================================
@@ -389,7 +386,26 @@ def test_criterion_3_distillation_algebra():
             assert v > 0.0
             positives += 1
     assert zeros and positives
-    print(f"criterion 3 PASS: alpha-linearity at 1e-12 with exact endpoints; "
+
+    # the same algebra on the batch loss the student trains on, at temperature 2
+    logits = rng.normal(size=(8, 2)) * 2.0
+    p_mix = np.stack([_random_distribution(rng) for _ in range(8)])
+    y = one_hot(rng.integers(0, 2, size=8))
+    q_soft, q = softmax_np(logits / 2.0), softmax_np(logits)
+    kl_ind = np.mean([4.0 * kl_divergence(p_mix[i], q_soft[i]) for i in range(8)])
+    ce_ind = np.mean([cross_entropy(y[i], q[i]) for i in range(8)])
+    terms = {}
+    for a in np.linspace(0.0, 1.0, 11):
+        cfg = DistillConfig(alpha=float(a), temperature=2.0)
+        _, br = distill_loss_tensors(p_mix, Tensor(logits), y, cfg)
+        kl_t, ce_t = terms.setdefault("kl_ce", (br.kl_term, br.ce_term))
+        assert (br.kl_term, br.ce_term) == (kl_t, ce_t)  # the terms do not move with alpha
+        assert abs(kl_t - kl_ind) < 1e-12 and abs(ce_t - ce_ind) < 1e-12
+        assert abs(br.total - (a * kl_t + (1.0 - a) * ce_t)) < 1e-12
+        if a in (0.0, 1.0):
+            assert br.total == (ce_t if a == 0.0 else kl_t)
+    print(f"criterion 3 PASS: alpha-linearity at 1e-12 with exact endpoints, "
+          f"scalar and batch losses; "
           f"KL >= 0 on 1000 pairs ({zeros} exact zeros, {positives} positive)")
 
 

@@ -15,7 +15,6 @@ from distillfuse.audio import (
     VadConfig,
     WaveForm,
     apply_fir,
-    batch_features,
     design_lowpass_fir,
     fix_length,
     hz_to_mel,
@@ -323,7 +322,7 @@ def test_mfcc_frame_count_formula():
     cfg = MfccConfig()
     for n in (512, 513, 671, 672, 3200):
         w = WaveForm(np.ones(n) * 0.1, 16000)
-        assert mfcc_extract(w, cfg).n_frames == 1 + (n - cfg.n_fft) // cfg.hop
+        assert mfcc_extract(w, cfg).frames.shape[0] == 1 + (n - cfg.n_fft) // cfg.hop
 
 
 def test_mfcc_rejects_short_input():
@@ -388,13 +387,6 @@ def test_fix_length_pads_with_zeros_at_end():
 def test_fix_length_validation():
     with pytest.raises(ValueError):
         fix_length(FeatureSequence(np.ones((3, 4))), 0)
-
-
-def test_batch_features_groups_in_order_with_remainder():
-    seqs = [FeatureSequence(np.full((5, 2), i, dtype=float)) for i in range(5)]
-    batches = batch_features(seqs, target_frames=4, batch_size=2)
-    assert [b.shape for b in batches] == [(2, 4, 2), (2, 4, 2), (1, 4, 2)]
-    assert batches[2][0, 0, 0] == 4.0
 
 
 # ------------------------------------------------------------- WAV files

@@ -110,23 +110,11 @@ class TestLoadDataset:
     def test_split_sizes_rounded(self, tmp_path):
         self._corpus(tmp_path, n=20)
         m = load_dataset(tmp_path)
-        sizes = {s: len(m.ids_for(s)) for s in ("train", "validation", "test")}
+        splits = list(m.split_of.values())
+        sizes = {s: splits.count(s) for s in ("train", "validation", "test")}
         assert sizes["train"] == int(round(SPLIT_RATIOS[0] * 20))
         assert sizes["validation"] == int(round(SPLIT_RATIOS[1] * 20))
         assert sum(sizes.values()) == 20
-
-    def test_ids_for_unknown_split(self, tmp_path):
-        self._corpus(tmp_path)
-        m = load_dataset(tmp_path)
-        with pytest.raises(ValueError, match="unknown split"):
-            m.ids_for("dev")
-
-    def test_entry_lookup(self, tmp_path):
-        self._corpus(tmp_path)
-        m = load_dataset(tmp_path)
-        assert m.entry(103).participant_id == 103
-        with pytest.raises(KeyError):
-            m.entry(555)
 
 
 def _example(pid, label, L=4, T=3, C=2):

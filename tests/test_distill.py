@@ -15,19 +15,15 @@ from distillfuse.distill import (
     DistillConfig,
     ce_loss_tensor,
     combine_teacher_targets,
-    cross_entropy,
     distill_loss_tensors,
-    kl_divergence,
     one_hot,
     require_finite_grads,
-    softmax_np,
     student_train_step,
-    total_loss,
 )
 from distillfuse.optim import SGD
-from distillfuse.tensor import Parameter, Tensor
+from distillfuse.tensor import Parameter, Tensor, softmax_np
 
-from helpers import check_grads
+from helpers import check_grads, cross_entropy, kl_divergence, total_loss
 
 LN2 = 0.6931471805599453
 
@@ -415,9 +411,3 @@ def test_require_finite_grads_returns_the_global_norm():
     b.grad[:] = 1e300  # finite entries whose squares overflow
     with pytest.raises(FloatingPointError, match="inf"):
         require_finite_grads([a, b], "z")
-
-
-def test_softmax_np_is_the_tensor_module_function():
-    from distillfuse import tensor
-
-    assert softmax_np is tensor.softmax_np

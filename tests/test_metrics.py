@@ -11,9 +11,10 @@ from distillfuse.metrics import (
     RocCurve,
     compute_metrics,
     emit_report,
-    parse_metrics_file,
     roc_auc,
 )
+
+from helpers import parse_metrics_file
 
 
 def _brute_force_metrics(preds, labels):
@@ -247,11 +248,12 @@ class TestReportFiles:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
-    def test_prefix_and_no_curve(self, tmp_path):
+    def test_no_curve_writes_no_roc(self, tmp_path):
         rep = compute_metrics([0, 1], [0, 1])
-        mpath, rpath = emit_report(rep, None, tmp_path, prefix="val_")
-        assert mpath.name == "val_metrics.txt"
+        mpath, rpath = emit_report(rep, None, tmp_path)
+        assert mpath.name == "metrics.txt"
         assert rpath is None
+        assert not (tmp_path / "roc.csv").exists()
         back = parse_metrics_file(mpath)
         assert "auc" not in back
         assert back["accuracy"] == 1.0

@@ -23,9 +23,7 @@ from distillfuse.models import (
 )
 from distillfuse.pipeline import (
     ABLATION_ALPHAS,
-    THREADS_ENV,
     ablate,
-    effective_threads,
     evaluate_model,
     load_split_examples,
     preprocess,
@@ -51,6 +49,10 @@ def _tiny_cfg(**kw):
     return RunConfig(**base)
 
 
+def _split_ids(manifest, split):
+    return sorted(pid for pid, s in manifest.split_of.items() if s == split)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
@@ -73,33 +75,43 @@ def teacher_ckpts(workspace):
     return text, audio
 
 
+class _PoolStarted(Exception):
+    pass
+
+
 class TestEffectiveThreads:
-    def test_explicit_config_value(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert effective_threads(RunConfig(threads=3)) == 3
+    """The preprocess pool's worker count: ``threads``, or one per CPU at 0."""
 
-    def test_zero_means_cpu_count(self, monkeypatch):
-        import os
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
 
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert effective_threads(RunConfig(threads=0)) == (os.cpu_count() or 1)
+        def pool(max_workers=None):
+            sizes.append(max_workers)
+            raise _PoolStarted  # the count is all these tests need
 
-    def test_env_caps_config(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert effective_threads(RunConfig(threads=8)) == 2
-        assert effective_threads(RunConfig(threads=1)) == 1
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", pool)
+        return sizes
 
-    def test_env_caps_cpu_count(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "1")
-        assert effective_threads(RunConfig(threads=0)) == 1
+    def _preprocess(self, workspace, out, threads):
+        cfg = dataclasses.replace(workspace.cfg, threads=threads)
+        preprocess(cfg, workspace.data, out)
 
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "many")
-        with pytest.raises(ValueError, match=THREADS_ENV):
-            effective_threads(RunConfig())
-        monkeypatch.setenv(THREADS_ENV, "0")
-        with pytest.raises(ValueError, match=THREADS_ENV):
-            effective_threads(RunConfig())
+    def test_explicit_config_value(self, workspace, pool_sizes, tmp_path):
+        with pytest.raises(_PoolStarted):
+            self._preprocess(workspace, tmp_path / "f", 3)
+        assert pool_sizes == [3]
+
+    def test_zero_means_cpu_count(self, workspace, pool_sizes, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 5)
+        with pytest.raises(_PoolStarted):
+            self._preprocess(workspace, tmp_path / "f", 0)
+        assert pool_sizes == [5]
+
+    def test_negative_rejected_before_any_file(self, workspace, pool_sizes, tmp_path):
+        with pytest.raises(ValueError, match="threads must be >= 0.*got -1"):
+            self._preprocess(workspace, tmp_path / "f", -1)
+        assert pool_sizes == [] and not (tmp_path / "f").exists()
 
 
 class TestPreprocess:
@@ -132,8 +144,8 @@ class TestPreprocess:
 
         data2 = tmp_path / "data2"
         shutil.copytree(workspace.data, data2)
-        test_pid = workspace.manifest.ids_for("test")[0]
-        train_pid = workspace.manifest.ids_for("train")[0]
+        test_pid = _split_ids(workspace.manifest, "test")[0]
+        train_pid = _split_ids(workspace.manifest, "train")[0]
         for pid, marker in ((test_pid, "zzonlyintest"), (train_pid, "zzonlyintrain")):
             p = data2 / f"{pid}_TRANSCRIPT.csv"
             p.write_text(p.read_text()
@@ -188,7 +200,6 @@ def _record_blas_counts(monkeypatch, get, fail_on=None):
 class TestBlasThreadCap:
     @pytest.fixture
     def fake(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
         blas = _FakeBlas()
         monkeypatch.setattr(pipeline, "_blas_thread_funcs", lambda: (blas.get, blas.set))
         return blas
@@ -225,7 +236,6 @@ class TestBlasThreadCap:
 
     def test_real_library_capped_in_pool_and_restored(self, workspace, monkeypatch,
                                                       tmp_path):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
         funcs = pipeline._blas_thread_funcs()
         if funcs is None:
             pytest.skip("this numpy bundles no OpenBLAS")
@@ -240,15 +250,15 @@ class TestBlasThreadCap:
 class TestLoadSplitExamples:
     def test_shapes_and_labels(self, workspace):
         cfg = workspace.cfg
+        labels = {e.participant_id: e.label for e in workspace.manifest.entries}
         for split in ("train", "validation", "test"):
             examples = load_split_examples(cfg, workspace.features, split)
-            assert len(examples) == len(workspace.manifest.ids_for(split))
+            assert len(examples) == len(_split_ids(workspace.manifest, split))
             for ex in examples:
                 assert ex.token_ids.shape == (cfg.max_len,)
                 assert ex.mask.shape == (cfg.max_len,)
                 assert ex.mfcc.shape == (cfg.target_frames, cfg.n_coeffs)
-                entry = workspace.manifest.entry(ex.participant_id)
-                assert ex.label == entry.label
+                assert ex.label == labels[ex.participant_id]
 
     def test_split_partition_is_disjoint_and_complete(self, workspace):
         seen = []
@@ -371,6 +381,42 @@ class TestStudentTraining:
                 train_student(workspace.cfg, workspace.features, text, audio, tmp_path / "bad")
         assert not (tmp_path / "bad" / "student.ckpt").exists()
 
+    def test_teacher_targets_computed_once_per_split(self, workspace, teacher_ckpts,
+                                                     monkeypatch, tmp_path):
+        text_ckpt, audio_ckpt = teacher_ckpts
+        cfg = dataclasses.replace(workspace.cfg, epochs_student=3, temperature=2.0)
+        rows = {TextTeacherModel: 0, AudioTeacherModel: 0}
+        for cls in rows:
+            def counting(self, *arrays, real=cls.predict_probs, cls=cls, **kwargs):
+                rows[cls] += arrays[0].shape[0]
+                return real(self, *arrays, **kwargs)
+
+            monkeypatch.setattr(cls, "predict_probs", counting)
+        steps = []
+        real_step = pipeline.student_train_step
+
+        def recording(batch, teachers, *args, **kwargs):
+            text, audio = teachers
+            steps.append((batch,
+                          text.predict_probs(batch.token_ids, batch.mask, temperature=2.0),
+                          audio.predict_probs(batch.mfcc, temperature=2.0)))
+            return real_step(batch, teachers, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "student_train_step", recording)
+        train_student(cfg, workspace.features, text_ckpt, audio_ckpt, tmp_path)
+        n_train = len(load_split_examples(cfg, workspace.features, "train"))
+        assert n_train % cfg.batch_size == 1  # a one-row batch, scored alone
+        assert rows == {TextTeacherModel: n_train, AudioTeacherModel: n_train}
+        assert len(steps) == 3 * -(-n_train // cfg.batch_size)
+
+        text, audio = load_model(text_ckpt), load_model(audio_ckpt)
+        for batch, p_text, p_audio in steps:
+            np.testing.assert_allclose(
+                p_text, text.predict_probs(batch.token_ids, batch.mask, temperature=2.0),
+                rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                p_audio, audio.predict_probs(batch.mfcc, temperature=2.0), rtol=0, atol=1e-12)
+
 
 class TestQuantizePipeline:
     def test_artifacts_and_accounting(self, workspace, teacher_ckpts, tmp_path):
@@ -490,6 +536,26 @@ class TestNonFiniteLoss:
         assert not (tmp_path / "audio_teacher_quantized.ckpt").exists()
 
 
+@pytest.mark.parametrize("stage, field", [
+    ("text teacher", "epochs_text"), ("audio teacher", "epochs_audio"),
+    ("student", "epochs_student"), ("QAT", "epochs_qat"),
+])
+def test_negative_epochs_rejected_before_any_file(workspace, teacher_ckpts, tmp_path,
+                                                  stage, field):
+    cfg = dataclasses.replace(workspace.cfg, **{field: -1})
+    text_ckpt, audio_ckpt = teacher_ckpts
+    feats, out = workspace.features, tmp_path / "out"
+    run = {
+        "text teacher": lambda: train_text_teacher(cfg, feats, out),
+        "audio teacher": lambda: train_audio_teacher(cfg, feats, out),
+        "student": lambda: train_student(cfg, feats, text_ckpt, audio_ckpt, out),
+        "QAT": lambda: quantize_pipeline(cfg, audio_ckpt, feats, out),
+    }[stage]
+    with pytest.raises(ValueError, match=f"^{stage}: epochs must be >= 0, got -1$"):
+        run()
+    assert not any(out.rglob("*"))
+
+
 def _nan_gradient(loss, logits):
     """``loss`` with its value unchanged and a NaN gradient: d sqrt(s)/ds is
     infinite at s = 0, and 0 * inf gives NaN on the way back to the logits."""
@@ -573,7 +639,7 @@ class TestEvaluateModel:
         out = tmp_path / "eval_audio"
         report = evaluate_model(workspace.cfg, audio_ckpt, workspace.features,
                                 "test", out)
-        assert report.n == len(workspace.manifest.ids_for("test"))
+        assert report.n == len(_split_ids(workspace.manifest, "test"))
         assert (out / "metrics.txt").exists()
         assert (out / "roc.csv").exists()
         assert not (out / "attention.csv").exists()
@@ -584,7 +650,7 @@ class TestEvaluateModel:
                              audio_ckpt, tmp_path / "s")
         out = tmp_path / "eval_student"
         report = evaluate_model(workspace.cfg, ckpt, workspace.features, "test", out)
-        n_test = len(workspace.manifest.ids_for("test"))
+        n_test = len(_split_ids(workspace.manifest, "test"))
         assert report.n == n_test
         rows = (out / "attention.csv").read_text().strip().split("\n")
         assert rows[0] == "participant_id,head,weight_text,weight_audio"
