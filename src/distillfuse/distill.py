@@ -54,11 +54,14 @@ class LossBreakdown:
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
+    """``p`` as float64; each row (last axis) needs no negative entry and a sum 1 +- SUM_TOL."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0.0):
         raise ValueError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > SUM_TOL:
-        raise ValueError(f"{name} does not sum to 1 (sum = {p.sum()!r})")
+    sums = p.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > SUM_TOL
+    if bad.any():
+        raise ValueError(f"{name} does not sum to 1 (sum = {sums[bad][0]!r})")
     return p
 
 
@@ -70,10 +73,8 @@ def combine_teacher_targets(p_text, p_audio, beta: float = 0.5) -> np.ndarray:
     p_audio = np.asarray(p_audio, dtype=np.float64)
     if p_text.shape != p_audio.shape:
         raise ValueError(f"teacher shapes differ: {p_text.shape} vs {p_audio.shape}")
-    for row in np.atleast_2d(p_text):
-        _check_distribution(row, "p_text")
-    for row in np.atleast_2d(p_audio):
-        _check_distribution(row, "p_audio")
+    _check_distribution(p_text, "p_text")
+    _check_distribution(p_audio, "p_audio")
     return beta * p_text + (1.0 - beta) * p_audio
 
 

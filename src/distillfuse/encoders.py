@@ -7,11 +7,12 @@ applied as x @ W.T + b. Initialization is uniform(-1/sqrt(fan_in),
 +1/sqrt(fan_in)) for weights and zero for biases, drawn from a caller-supplied
 seeded generator.
 
-``TextEncoder.forward`` and the BiLSTM's ``final_states``/``mean_states``
-have two forwards. When the call can record a tape (grad mode on and some
-weight requiring grad) they run op by op through ``Tensor``. Otherwise they
-run on plain numpy arrays with the same float operations in the same order,
-so both give bit-identical outputs.
+Each encoder has one forward body, and the type of its operands picks the
+mode. On ``Tensor``s every op records the tape; on plain numpy arrays the
+same float operations run in the same order with no tape, so both give
+bit-identical outputs. ``TextEncoder.forward`` and the BiLSTM's
+``final_states``/``mean_states`` hand the body arrays exactly when the call
+cannot record a tape: grad mode is off, or no weight requires grad.
 """
 
 from __future__ import annotations
@@ -54,35 +55,43 @@ def zeros_param(shape) -> Parameter:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ W.T (+ b) with W in (out_features, in_features) orientation."""
+    """x @ W.T (+ b) with W in (out_features, in_features) orientation; all
+    Tensors or all arrays."""
     out = x @ w.transpose(1, 0)
-    return out if b is None else out + b
+    if b is not None:
+        out += b  # a new node on a Tensor; in place on the fresh array
+    return out
 
 
 def layer_norm(x: Tensor, gamma: Parameter, beta: Parameter, eps: float = 1e-5) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ((var + eps) ** 0.5) * gamma + beta
-
-
-def _linear_np(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``linear`` on plain arrays, in its op order."""
-    out = x @ w.T
-    out += b
-    return out
-
-
-def _layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                   eps: float = 1e-5) -> np.ndarray:
-    """``layer_norm`` on plain arrays, in its op order (``** 0.5`` is sqrt)."""
+    """Normalize over the last axis; all Tensors or all arrays."""
     out = x - x.mean(axis=-1, keepdims=True)
     var = (out * out).mean(axis=-1, keepdims=True)
     var += eps
-    out /= np.sqrt(var, out=var)
+    out /= var ** 0.5
     out *= gamma
     out += beta
     return out
+
+
+# Activations on Tensors or arrays; on an array each runs Tensor's float
+# expression. relu and softmax overwrite an array, so pass them a fresh one.
+
+
+def _relu(x):
+    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0, out=x)
+
+
+def _sigmoid(x):
+    return x.sigmoid() if isinstance(x, Tensor) else 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def _softmax(x):
+    return softmax(x, axis=-1) if isinstance(x, Tensor) else softmax_np(x, axis=-1, out=x)
 
 
 class LoraAdapter:
@@ -143,51 +152,30 @@ class EncoderLayer:
         self.ln1_b = zeros_param(d)
         self.ln2_g = Parameter(np.ones(d))
         self.ln2_b = zeros_param(d)
+        self.lora_q = self.lora_v = None
         if lora_rank:
             self.lora_q = LoraAdapter(d, d, lora_rank, lora_alpha, rng=rng)
             self.lora_v = LoraAdapter(d, d, lora_rank, lora_alpha, rng=rng)
-        else:
-            self.lora_q = None
-            self.lora_v = None
 
     def forward(self, x: Tensor, add_mask: np.ndarray) -> Tensor:
-        b, l, d = x.data.shape
+        """One block over ``x``: a Tensor records the tape, a plain array runs
+        on the weights' arrays."""
+        w = (lambda p: p) if isinstance(x, Tensor) else (lambda p: p.data)
+        b, l, d = x.shape
         h = self.n_heads
         dh = d // h
         wq = lora_effective_weight(self.wq, self.lora_q) if self.lora_q else self.wq
         wv = lora_effective_weight(self.wv, self.lora_v) if self.lora_v else self.wv
-        q = linear(x, wq, self.bq).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
-        k = linear(x, self.wk, self.bk).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
-        v = linear(x, wv, self.bv).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)) + Tensor(add_mask)
-        attn = softmax(scores, axis=-1)
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
-        x = layer_norm(x + linear(ctx, self.wo, self.bo), self.ln1_g, self.ln1_b)
-        ff = linear(linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
-        return layer_norm(x + ff, self.ln2_g, self.ln2_b)
-
-    def forward_np(self, x: np.ndarray, add_mask: np.ndarray) -> np.ndarray:
-        """``forward`` on plain arrays, for calls that record no tape."""
-        b, l, d = x.shape
-        h = self.n_heads
-        dh = d // h
-        wq = lora_effective_weight(self.wq, self.lora_q).data if self.lora_q else self.wq.data
-        wv = lora_effective_weight(self.wv, self.lora_v).data if self.lora_v else self.wv.data
-        q = _linear_np(x, wq, self.bq.data).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
-        k = _linear_np(x, self.wk.data, self.bk.data).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
-        v = _linear_np(x, wv, self.bv.data).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
+        q = linear(x, w(wq), w(self.bq)).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
+        k = linear(x, w(self.wk), w(self.bk)).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
+        v = linear(x, w(wv), w(self.bv)).reshape(b, l, h, dh).transpose(0, 2, 1, 3)
         scores = q @ k.transpose(0, 1, 3, 2)
         scores *= 1.0 / np.sqrt(dh)
         scores += add_mask
-        attn = softmax_np(scores, axis=-1, out=scores)
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
-        y = _linear_np(ctx, self.wo.data, self.bo.data)
-        y += x
-        x = _layer_norm_np(y, self.ln1_g.data, self.ln1_b.data)
-        ff = _linear_np(x, self.w1.data, self.b1.data)
-        ff = _linear_np(np.maximum(ff, 0.0, out=ff), self.w2.data, self.b2.data)
-        ff += x
-        return _layer_norm_np(ff, self.ln2_g.data, self.ln2_b.data)
+        ctx = (_softmax(scores) @ v).transpose(0, 2, 1, 3).reshape(b, l, d)
+        x = layer_norm(x + linear(ctx, w(self.wo), w(self.bo)), w(self.ln1_g), w(self.ln1_b))
+        ff = linear(_relu(linear(x, w(self.w1), w(self.b1))), w(self.w2), w(self.b2))
+        return layer_norm(x + ff, w(self.ln2_g), w(self.ln2_b))
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         out = [
@@ -238,20 +226,17 @@ class TextEncoder:
         if l > self.max_len:
             raise ValueError(f"sequence length {l} exceeds max_len {self.max_len}")
         if ids.max() >= self.vocab_size or ids.min() < 0:
-            raise IndexError(
-                f"token id out of range for vocabulary of size {self.vocab_size}"
-            )
+            raise IndexError(f"token id out of range for vocabulary of size {self.vocab_size}")
         add_mask = ((mask - 1.0) * -MASK_NEG)[:, None, None, :]
-        if not records_tape(*(p for _, p in self.named_parameters())):
+        taped = records_tape(*(p for _, p in self.named_parameters()))
+        if taped:
+            x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(l))
+        else:
             x = self.tok_emb.data[ids]
             x += self.pos_emb.data[:l]
-            for layer in self.layers:
-                x = layer.forward_np(x, add_mask)
-            return Tensor(x[:, 0, :])
-        x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(l))
         for layer in self.layers:
             x = layer.forward(x, add_mask)
-        return x[:, 0, :]
+        return x[:, 0, :] if taped else Tensor(x[:, 0, :])
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
         out = [("tok_emb", self.tok_emb), ("pos_emb", self.pos_emb)]
@@ -293,78 +278,46 @@ class BiLstm:
         bsz, t_steps, d = x.shape
         if d != self.input_dim:
             raise ShapeError(f"expected feature dim {self.input_dim}, got {d}")
-        if not records_tape(wx, wh, b):
-            hs, mean = _lstm_np(np.asarray(x, dtype=np.float64), wx.data, wh.data, b.data,
-                                self.hidden_dim, reverse)
-            return Tensor(hs), Tensor(mean)
+        taped = records_tape(wx, wh, b)
+        if not taped:
+            x, wx, wh, b = np.asarray(x, dtype=np.float64), wx.data, wh.data, b.data
+        wrap = Tensor if taped else np.asarray
         h = self.hidden_dim
-        wx_t = wx.transpose(1, 0)
-        wh_t = wh.transpose(1, 0)
-        hs = Tensor(np.zeros((bsz, h)))
-        cs = Tensor(np.zeros((bsz, h)))
+        wx_t, wh_t = wx.transpose(1, 0), wh.transpose(1, 0)
+        hs, cs = wrap(np.zeros((bsz, h))), wrap(np.zeros((bsz, h)))
         h_sum = None
         order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
         for t in order:
-            z = Tensor(x[:, t, :]) @ wx_t + hs @ wh_t + b
-            i = z[:, 0 * h : 1 * h].sigmoid()
-            f = z[:, 1 * h : 2 * h].sigmoid()
-            g = z[:, 2 * h : 3 * h].tanh()
-            o = z[:, 3 * h : 4 * h].sigmoid()
+            z = wrap(x[:, t, :]) @ wx_t
+            z += hs @ wh_t
+            z += b
+            i = _sigmoid(z[:, 0 * h : 1 * h])
+            f = _sigmoid(z[:, 1 * h : 2 * h])
+            g = _tanh(z[:, 2 * h : 3 * h])
+            o = _sigmoid(z[:, 3 * h : 4 * h])
             cs = f * cs + i * g
-            hs = o * cs.tanh()
+            hs = o * _tanh(cs)
             h_sum = hs if h_sum is None else h_sum + hs
-        return hs, h_sum * (1.0 / t_steps)
+        mean = h_sum * (1.0 / t_steps)
+        return (hs, mean) if taped else (Tensor(hs), Tensor(mean))
 
-    def _weights(self, transform=None):
-        names = ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b")
-        if transform is None:
-            return {n: getattr(self, n) for n in names}
-        return {n: transform(n, getattr(self, n)) for n in names}
+    def _directions(self, x: np.ndarray, transform=None):
+        """``_run``'s (forward, backward) outputs, each weight first passed
+        through ``transform(name, param)`` when one is given."""
+        w = {n: transform(n, p) if transform else p for n, p in self.named_parameters()}
+        return (self._run(x, w["wx_f"], w["wh_f"], w["b_f"], reverse=False),
+                self._run(x, w["wx_b"], w["wh_b"], w["b_b"], reverse=True))
 
     def final_states(self, x: np.ndarray, transform=None) -> Tensor:
-        w = self._weights(transform)
-        hf, _ = self._run(x, w["wx_f"], w["wh_f"], w["b_f"], reverse=False)
-        hb, _ = self._run(x, w["wx_b"], w["wh_b"], w["b_b"], reverse=True)
+        (hf, _), (hb, _) = self._directions(x, transform)
         return concat([hf, hb], axis=1)
 
     def mean_states(self, x: np.ndarray, transform=None) -> Tensor:
-        w = self._weights(transform)
-        _, mf = self._run(x, w["wx_f"], w["wh_f"], w["b_f"], reverse=False)
-        _, mb = self._run(x, w["wx_b"], w["wh_b"], w["b_b"], reverse=True)
+        (_, mf), (_, mb) = self._directions(x, transform)
         return concat([mf, mb], axis=1)
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
         return [(n, getattr(self, n)) for n in ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b")]
-
-
-def _lstm_np(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, h: int,
-             reverse: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM direction on plain arrays: ``BiLstm._run``'s float ops in its
-    order, with the three sigmoids done at once, in place, over the packed
-    gates once the cell slice's tanh is taken."""
-    bsz, t_steps, _ = x.shape
-    wx_t, wh_t = wx.T, wh.T
-    hs = np.zeros((bsz, h))
-    cs = np.zeros((bsz, h))
-    h_sum = None
-    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
-    for t in order:
-        z = x[:, t, :] @ wx_t
-        z += hs @ wh_t
-        z += b
-        g = np.tanh(z[:, 2 * h : 3 * h])
-        z *= 0.5  # sigmoid(z) = 0.5 * (1 + tanh(z / 2)), as Tensor.sigmoid
-        np.tanh(z, out=z)
-        z += 1.0
-        z *= 0.5
-        cs = z[:, 1 * h : 2 * h] * cs
-        cs += z[:, 0 * h : 1 * h] * g
-        hs = z[:, 3 * h : 4 * h] * np.tanh(cs)
-        if h_sum is None:
-            h_sum = hs.copy()
-        else:
-            h_sum += hs
-    return hs, h_sum * (1.0 / t_steps)
 
 
 class ClassifierHead:

@@ -137,6 +137,10 @@ class _Model:
     def trainable_parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters() if p.trainable]
 
+    def forward_with_attention(self, *inputs) -> tuple[Tensor, np.ndarray | None]:
+        """(logits, fusion attention weights); a model without fusion has none."""
+        return self.forward_logits(*inputs), None
+
     def freeze_all(self) -> None:
         for _, p in self.named_parameters():
             p.freeze()

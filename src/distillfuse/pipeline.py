@@ -204,6 +204,8 @@ def _read_splits(features_dir) -> list[tuple[int, int, str]]:
             raise ValueError(f"{path}:{lineno}: participant_id {pid!r} is not an integer") from None
         if label not in ("0", "1"):
             raise ValueError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
+        if split not in ("train", "validation", "test"):
+            raise ValueError(f"{path}:{lineno}: split {split!r} is not train, validation or test")
         out.append((pid, int(label), split))
     return out
 
@@ -451,17 +453,15 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
     preds, scores, labels = [], [], []
     attention_rows = []
     for batch in make_batches(examples, cfg.batch_size):
-        if isinstance(model, StudentModel):
-            with no_grad():
-                logits, weights = model.forward_with_attention(*model.inputs(batch))
-            probs = softmax_np(logits.data, axis=-1)
+        with no_grad():
+            logits, weights = model.forward_with_attention(*model.inputs(batch))
+        probs = softmax_np(logits.data, axis=-1)
+        if weights is not None:
             for i, pid in enumerate(batch.ids):
                 for h in range(weights.shape[1]):
                     attention_rows.append(
                         f"{pid},{h},{float(weights[i, h, 0])!r},{float(weights[i, h, 1])!r}"
                     )
-        else:
-            probs = _batch_probs(model, batch)
         bad = ~np.isfinite(probs).all(axis=1)
         if bad.any():
             raise ValueError(

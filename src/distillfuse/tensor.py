@@ -139,6 +139,10 @@ class Tensor:
 
     # ------------------------------------------------------------------ misc
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() requires a single element, got shape {self.data.shape}")

@@ -145,6 +145,12 @@ class TestCombineTeacherTargets:
             combine_teacher_targets(ok, np.array([[0.5, 0.5]] * 2))
         with pytest.raises(ValueError, match="sum"):
             combine_teacher_targets(np.array([0.7, 0.7]), ok)
+        # one check covers every row: the first bad one, mid-batch, is named
+        rows = np.full((5, 2), 0.5)
+        rows[2] = [0.6, 0.6]
+        rows[3] = [0.9, 0.9]
+        with pytest.raises(ValueError, match=r"p_audio does not sum to 1 \(sum = .*1\.2\b"):
+            combine_teacher_targets(np.full((5, 2), 0.5), rows)
 
 
 class TestTotalLoss:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from distillfuse.encoders import (
+    MASK_NEG,
     BiLstm,
     ClassifierHead,
     LoraAdapter,
@@ -304,6 +305,14 @@ class TestTextEncoder:
         mask = (np.arange(l)[None, :] < np.arange(1, l + 1)[:, None]).astype(np.float64)
         taped, untaped = _taped_and_untaped(lambda: enc.forward(ids, mask))
         assert untaped.data.tobytes() == taped.data.tobytes()
+        # The layer body itself: a plain array in gives the bytes Tensors give.
+        layer = enc.layers[0]
+        x = rng.normal(size=(l, l, 12))
+        add_mask = ((mask - 1.0) * -MASK_NEG)[:, None, None, :]
+        on_tensors = layer.forward(Tensor(x), add_mask)
+        on_array = layer.forward(x.copy(), add_mask)
+        assert on_tensors.requires_grad and isinstance(on_array, np.ndarray)
+        assert on_array.tobytes() == on_tensors.data.tobytes()
 
     def test_frozen_encoder_in_grad_mode_records_no_nodes(self, monkeypatch):
         enc = self._tiny()

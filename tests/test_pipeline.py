@@ -279,6 +279,7 @@ class TestSplitsFile:
         ("seven,1,train", "participant_id 'seven' is not an integer"),
         ("7,yes,train", "label 'yes' is not 0 or 1"),
         ("7,2,train", "label '2' is not 0 or 1"),
+        ("7,1,tran", "split 'tran' is not train, validation or test"),
     ])
     def test_malformed_row_names_file_and_line(self, workspace, tmp_path, row, message):
         # line 2 is blank, so the bad row is on line 4 of the file
