@@ -54,14 +54,15 @@ class LossBreakdown:
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    """``p`` as float64; each row (last axis) needs no negative entry and a sum 1 +- SUM_TOL."""
+    """``p`` as float64; each row (last axis) needs finite, non-negative entries
+    summing to 1 +- SUM_TOL. A NaN or infinite entry makes its row's sum fail."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0.0):
         raise ValueError(f"{name} has negative entries")
     sums = p.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > SUM_TOL
-    if bad.any():
-        raise ValueError(f"{name} does not sum to 1 (sum = {sums[bad][0]!r})")
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= SUM_TOL))
+    if bad.size:
+        raise ValueError(f"{name} does not sum to 1 (sum = {sums.flat[bad[0]]}) in row {bad[0]}")
     return p
 
 

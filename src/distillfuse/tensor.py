@@ -2,11 +2,13 @@
 
 Eager tape-based autodiff: every operation whose operands require gradients
 records a backward closure; ``Tensor.backward()`` walks the recorded graph in
-reverse topological order and accumulates gradients into the leaves. All math
-runs on row-major numpy float64 arrays. Operations where no operand requires a
-gradient skip the tape entirely, so inference through frozen models allocates
-no graph. Inference through trainable models runs under ``no_grad()``, which
-skips the tape for every operation its thread runs until the block exits.
+reverse topological order, accumulates gradients into the leaves and frees
+each interior node's gradient once its closure has passed it on. All math
+runs on row-major numpy float64 arrays. Operations where no operand requires
+a gradient skip the tape entirely, so inference through frozen models
+allocates no graph. Inference through trainable models runs under
+``no_grad()``, which skips the tape for every operation its thread runs until
+the block exits.
 """
 
 from __future__ import annotations
@@ -52,18 +54,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _accum(t: "Tensor", g: np.ndarray) -> None:
+def _accum(t: "Tensor", g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` (shaped like ``t``) into ``t.grad``.
 
-    The first write stores a copy of ``g``: callers may pass the same array to
-    several parents, or a read-only broadcast view, so ``t`` must never keep
-    ``g`` itself. The copy is C order whatever ``g``'s layout; keeping an
-    F-ordered layout sends it into BLAS on a different path and changes the
-    last bits of results. Later writes add in place into the buffer ``t``
-    owns.
+    The first write takes ``g`` itself when the caller owns it (``owned``: a
+    fresh result no one else holds) and it is C-contiguous, writeable float64.
+    Otherwise it stores a C-order copy: callers may pass the same array to
+    several parents, a view of it or a read-only broadcast view, and keeping
+    an F-ordered layout sends it into BLAS on a different path and changes
+    the last bits of results. Later writes add in place into ``t``'s buffer.
     """
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        own = owned and g.dtype == np.float64 and g.flags.c_contiguous and g.flags.writeable
+        t.grad = g if own else np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
     t._grad_seen = True
@@ -157,7 +160,8 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``.grad``.
 
         ``self`` must hold exactly one element; gradients of leaves not on the
-        recorded graph are left untouched.
+        recorded graph are left untouched. Only leaves keep ``.grad``: every
+        interior node's, ``self``'s included, is None once its closure has run.
         """
         if self.data.size != 1:
             raise RuntimeError(
@@ -187,6 +191,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ------------------------------------------------------------ arithmetic
 
@@ -214,7 +219,7 @@ class Tensor:
             if a.requires_grad:
                 _accum(a, _unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                _accum(b, _unbroadcast(-g, b.data.shape))
+                _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
 
         return _make(out, (self, other), backward)
 
@@ -225,9 +230,9 @@ class Tensor:
 
         def backward(g, a=self, b=other):
             if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape))
+                _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
             if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape))
+                _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
         return _make(out, (self, other), backward)
 
@@ -240,9 +245,9 @@ class Tensor:
 
         def backward(g, a=self, b=other):
             if a.requires_grad:
-                _accum(a, _unbroadcast(g / b.data, a.data.shape))
+                _accum(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
             if b.requires_grad:
-                _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+                _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
 
         return _make(out, (self, other), backward)
 
@@ -251,7 +256,7 @@ class Tensor:
 
         def backward(g, a=self):
             if a.requires_grad:
-                _accum(a, -g)
+                _accum(a, -g, owned=True)
 
         return _make(out, (self,), backward)
 
@@ -263,7 +268,7 @@ class Tensor:
 
         def backward(g, a=self, p=p):
             if a.requires_grad:
-                _accum(a, g * p * a.data ** (p - 1.0))
+                _accum(a, g * p * a.data ** (p - 1.0), owned=True)
 
         return _make(out, (self,), backward)
 
@@ -285,9 +290,9 @@ class Tensor:
 
         def backward(g, ta=self, tb=other):
             if ta.requires_grad:
-                _accum(ta, _unbroadcast(g @ tb.data.swapaxes(-1, -2), ta.data.shape))
+                _accum(ta, _unbroadcast(g @ tb.data.swapaxes(-1, -2), ta.data.shape), owned=True)
             if tb.requires_grad:
-                _accum(tb, _unbroadcast(ta.data.swapaxes(-1, -2) @ g, tb.data.shape))
+                _accum(tb, _unbroadcast(ta.data.swapaxes(-1, -2) @ g, tb.data.shape), owned=True)
 
         return _make(out, (self, other), backward)
 
@@ -300,7 +305,7 @@ class Tensor:
 
         def backward(g, a=self):
             if a.requires_grad:
-                _accum(a, g / a.data)
+                _accum(a, g / a.data, owned=True)
 
         return _make(out, (self,), backward)
 
@@ -310,7 +315,7 @@ class Tensor:
 
         def backward(g, a=self, y=out):
             if a.requires_grad:
-                _accum(a, g * y * (1.0 - y))
+                _accum(a, g * y * (1.0 - y), owned=True)
 
         return _make(out, (self,), backward)
 
@@ -319,7 +324,7 @@ class Tensor:
 
         def backward(g, a=self, y=out):
             if a.requires_grad:
-                _accum(a, g * (1.0 - y * y))
+                _accum(a, g * (1.0 - y * y), owned=True)
 
         return _make(out, (self,), backward)
 
@@ -328,7 +333,7 @@ class Tensor:
 
         def backward(g, a=self):
             if a.requires_grad:
-                _accum(a, g * (a.data > 0.0))
+                _accum(a, g * (a.data > 0.0), owned=True)
 
         return _make(out, (self,), backward)
 
@@ -404,7 +409,7 @@ class Tensor:
                 if a.requires_grad:
                     buf = np.zeros_like(a.data)
                     np.add.at(buf, key, g)
-                    _accum(a, buf)
+                    _accum(a, buf, owned=True)
 
         return _make(np.asarray(out), (self,), backward)
 
@@ -455,7 +460,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g, a=x, y=y, axis=axis):
         if a.requires_grad:
             dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(a, y * (g - dot))
+            _accum(a, y * (g - dot), owned=True)
 
     return _make(y, (x,), backward)
 
@@ -466,7 +471,7 @@ def clamp_min(x: Tensor, lo: float) -> Tensor:
 
     def backward(g, a=x, lo=lo):
         if a.requires_grad:
-            _accum(a, g * (a.data > lo))
+            _accum(a, g * (a.data > lo), owned=True)
 
     return _make(out, (x,), backward)
 
@@ -518,7 +523,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         if t.requires_grad:
             buf = np.zeros_like(t.data)
             np.add.at(buf, ids, g)
-            _accum(t, buf)
+            _accum(t, buf, owned=True)
 
     return _make(out, (table,), backward)
 

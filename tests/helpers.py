@@ -1,8 +1,9 @@
 """Shared test utilities: central finite-difference gradient checking and
 reference implementations that vectorized code is compared against: the
 scalar KL, cross-entropy and blended distillation loss that the batch
-tensors' losses in ``distill`` are checked against, frame-by-frame VAD, and
-a ``metrics.txt`` reader.
+tensors' losses in ``distill`` are checked against, frame-by-frame VAD, a
+``metrics.txt`` reader, and ``capture_grad``, which records the gradient an
+interior tape node receives (backward keeps ``.grad`` only on leaves).
 
 The numeric gradient is an independent oracle for every analytic backward
 pass in the package: perturb one input coordinate at a time by +-h and take
@@ -66,6 +67,31 @@ def check_grads(fn, arrays, tol: float = FD_TOL, h: float = FD_H) -> float:
         assert err < tol, f"input {i}: analytic vs numeric rel err {err:.3e} >= {tol}"
         worst = max(worst, err)
     return worst
+
+
+class CapturedGrad:
+    """What one interior node's backward closure received: ``g`` is the array
+    object itself, ``before`` a copy taken before the closure ran. Both stay
+    None until backward reaches the node."""
+
+    g: np.ndarray | None = None
+    before: np.ndarray | None = None
+
+
+def capture_grad(t: Tensor) -> CapturedGrad:
+    """Wrap interior node ``t``'s backward closure so that the next backward
+    records the upstream gradient it hands the closure."""
+    inner = t._backward
+    if inner is None:
+        raise ValueError("capture_grad needs an interior node (one with a backward closure)")
+    seen = CapturedGrad()
+
+    def backward(g):
+        seen.g, seen.before = g, np.array(g, copy=True)
+        inner(g)
+
+    t._backward = backward
+    return seen
 
 
 def vad_segments_reference(w: WaveForm, cfg: VadConfig) -> list[tuple[int, int]]:

@@ -149,8 +149,16 @@ class TestCombineTeacherTargets:
         rows = np.full((5, 2), 0.5)
         rows[2] = [0.6, 0.6]
         rows[3] = [0.9, 0.9]
-        with pytest.raises(ValueError, match=r"p_audio does not sum to 1 \(sum = .*1\.2\b"):
+        with pytest.raises(ValueError, match=r"p_audio does not sum to 1 \(sum = .*1\.2\b.* row 2$"):
             combine_teacher_targets(np.full((5, 2), 0.5), rows)
+        # a NaN or infinite entry fails its row's sum test
+        rows = np.full((2, 2), 0.5)
+        rows[0] = [np.nan, 0.5]
+        with pytest.raises(ValueError, match=r"p_text does not sum to 1 \(sum = nan\) in row 0$"):
+            combine_teacher_targets(rows, np.full((2, 2), 0.5))
+        rows[0], rows[1] = 0.5, [np.inf, 0.5]
+        with pytest.raises(ValueError, match=r"p_audio does not sum to 1 \(sum = inf\) in row 1$"):
+            combine_teacher_targets(np.full((2, 2), 0.5), rows)
 
 
 class TestTotalLoss:

@@ -82,3 +82,29 @@ def test_build_record_flags_digests_and_failures():
     assert rec["digests_equal_all_pairs"] is False
     assert rec["failed_ratio_max"] == 0.1 and rec["correct_all_runs"] is False
     assert rec["runs"][1]["change"]["wall_s"] == 2.5
+
+
+def test_build_record_keeps_setup_samples():
+    # the samples behind each run's medians go into its row, set-up included
+    runs = []
+    for i, (p_setup, c_setup) in enumerate([([0.4, 0.6, 0.5], [0.3, 0.9]), ([1.1], [0.5, 0.7])]):
+        pair = {"pair": i, "seed": i, "first": "parent"}
+        for side, setup in (("parent", p_setup), ("change", c_setup)):
+            run = _run(3.0 + i, "a")
+            run["report"]["setup_peak_rss_mb"] = 40.0 + i
+            run["report"]["samples"] = {"setup_s": setup,
+                                        "passes": [{"wall_s": 3.0 + i, "student_s": 2.0}]}
+            pair[side] = run
+        runs.append(pair)
+    rec = pairs.build_record(runs, trace=0, directions={})
+    assert rec["runs"][0]["parent"]["samples"]["setup_s"] == [0.4, 0.6, 0.5]
+    assert rec["runs"][1]["change"]["samples"]["setup_s"] == [0.5, 0.7]
+    assert rec["runs"][1]["parent"]["samples"]["passes"] == [{"wall_s": 4.0, "student_s": 2.0}]
+    assert [r["change"]["setup_peak_rss_mb"] for r in rec["runs"]] == [40.0, 41.0]
+    # traced reports carry no samples; their rows have none either
+    traced = [{"pair": 0, "seed": 0, "first": "parent",
+               "parent": _run(3.0, "a"), "change": _run(2.0, "a")}]
+    for side in ("parent", "change"):
+        traced[0][side]["report"]["layers"] = {"tensor.nodes.student_step": 2460}
+    row = pairs.build_record(traced, trace=1, directions={})["runs"][0]
+    assert "samples" not in row["parent"] and "setup_peak_rss_mb" not in row["change"]

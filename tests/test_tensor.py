@@ -19,7 +19,7 @@ from distillfuse.tensor import (
     softmax,
     softmax_np,
 )
-from helpers import check_grads, rel_err
+from helpers import capture_grad, check_grads, rel_err
 
 
 def test_tensor_holds_float64_and_shape():
@@ -173,6 +173,7 @@ def test_overlapping_basic_slices_accumulate(leaf):
     for through_node in (False, True):
         t = leaf(data.copy()) if leaf is Parameter else leaf(data.copy(), requires_grad=True)
         src = t * 1.0 if through_node else t
+        seen = capture_grad(src) if through_node else None
         loss = None
         for k, w in zip(BASIC_KEYS, weights):
             term = (src[k] * w).sum()
@@ -183,7 +184,7 @@ def test_overlapping_basic_slices_accumulate(leaf):
             np.add.at(want, k, w)
         np.testing.assert_allclose(t.grad, want, rtol=0, atol=1e-12)
         if through_node:
-            np.testing.assert_allclose(src.grad, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(seen.before, want, rtol=0, atol=1e-12)
 
 
 def test_getitem_advanced_keys_scatter_repeats():
@@ -205,17 +206,20 @@ def test_shared_upstream_gradient_is_never_mutated():
     # add hands the same g to both parents; the first write must copy it
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     y = x + x
+    y_seen = capture_grad(y)
     (y * np.array([1.0, 10.0, 100.0])).sum().backward()
     np.testing.assert_array_equal(x.grad, [2.0, 20.0, 200.0])
-    np.testing.assert_array_equal(y.grad, [1.0, 10.0, 100.0])
-    assert not np.shares_memory(x.grad, y.grad)
+    np.testing.assert_array_equal(y_seen.g, [1.0, 10.0, 100.0])
+    np.testing.assert_array_equal(y_seen.before, [1.0, 10.0, 100.0])
+    assert not np.shares_memory(x.grad, y_seen.g)
 
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     y = x * 3.0
     z = y * y + y
+    y_seen, z_seen = capture_grad(y), capture_grad(z)
     z.sum().backward()
-    np.testing.assert_array_equal(z.grad, [1.0, 1.0])
-    np.testing.assert_allclose(y.grad, 2.0 * y.data + 1.0)
+    np.testing.assert_array_equal(z_seen.before, [1.0, 1.0])
+    np.testing.assert_allclose(y_seen.before, 2.0 * y.data + 1.0)
     np.testing.assert_allclose(x.grad, 3.0 * (2.0 * y.data + 1.0))
 
     a = Tensor(np.ones(2), requires_grad=True)
@@ -225,6 +229,103 @@ def test_shared_upstream_gradient_is_never_mutated():
     (a * 5.0).sum().backward()
     np.testing.assert_array_equal(a.grad, [6.0, 6.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    # ops that hand their fresh result to a parent without a copy: no stored
+    # gradient shares memory with another or with an upstream g, and no
+    # upstream g is written to
+    rng = np.random.default_rng(33)
+
+    def pos(*shape):
+        return rng.uniform(0.5, 2.0, size=shape)
+
+    ids = np.array([2, 0, 2])
+    owned_ops = {
+        "sub": (lambda p, q: p - q, [pos(3, 4), pos(3, 4)]),
+        "sub-broadcast": (lambda p, q: p - q, [pos(3, 4), pos(4)]),
+        "mul": (lambda p, q: p * q, [pos(3, 4), pos(4)]),
+        "mul-self": (lambda p: p * p, [pos(3, 4)]),
+        "truediv": (lambda p, q: p / q, [pos(3, 4), pos(3, 1)]),
+        "matmul": (lambda p, q: p @ q, [pos(3, 4), pos(4, 2)]),
+        "matmul-batched": (lambda p, q: p @ q, [pos(2, 3, 4), pos(4, 2)]),
+        "neg": (lambda p: -p, [pos(3, 4)]),
+        "pow": (lambda p: p**3.0, [pos(3, 4)]),
+        "log": (lambda p: p.log(), [pos(3, 4)]),
+        "sigmoid": (lambda p: p.sigmoid(), [rng.normal(size=(3, 4))]),
+        "tanh": (lambda p: p.tanh(), [rng.normal(size=(3, 4))]),
+        "relu": (lambda p: p.relu(), [rng.normal(size=(3, 4))]),
+        "softmax": (lambda p: softmax(p), [rng.normal(size=(3, 4))]),
+        "clamp_min": (lambda p: clamp_min(p, 1.0), [pos(3, 4)]),
+        "embedding": (lambda p: embedding(p, ids), [pos(3, 4)]),
+        "getitem-advanced": (lambda p: p[ids], [pos(3, 4)]),
+    }
+    for name, (op, arrays) in owned_ops.items():
+        leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
+        u = op(*leaves)
+        v = u * rng.normal(size=u.data.shape)
+        seen = [capture_grad(u), capture_grad(v)]
+        (v + v).sum().backward()
+        for sg in seen:
+            np.testing.assert_array_equal(sg.g, sg.before, err_msg=name)
+        grads = [t.grad for t in leaves]
+        for i, g in enumerate(grads):
+            assert g.flags.c_contiguous, name
+            for other in grads[i + 1 :] + [sg.g for sg in seen]:
+                assert not np.shares_memory(g, other), name
+
+    # a transposed node's data is an F-order view: matmul's results are C
+    # order and pass as they are; tanh's result is F order when its upstream
+    # g is (the basic slice lays that buffer out like the node's data), so it
+    # is copied; every stored gradient comes out C order
+    x = Tensor(pos(5, 3), requires_grad=True)
+    w = Tensor(pos(5, 2), requires_grad=True)
+    xt = x.transpose()
+    xt_seen = capture_grad(xt)
+    (xt @ w).tanh().sum().backward()
+    assert all(g.flags.c_contiguous for g in (x.grad, w.grad, xt_seen.g))
+    assert not np.shares_memory(x.grad, xt_seen.g)
+
+    x = Tensor(pos(5, 3), requires_grad=True)
+    h = x.transpose().tanh()
+    h_seen, xt_seen = capture_grad(h), capture_grad(h._parents[0])
+    (h[1:] ** 2.0).sum().backward()
+    assert h_seen.g.flags.f_contiguous and not h_seen.g.flags.c_contiguous
+    assert xt_seen.g.flags.c_contiguous and x.grad.flags.c_contiguous
+
+
+def test_second_backward_through_an_interior_node_starts_from_zero():
+    # the first backward's gradient at y must not leak into the second
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    y = x * 2.0
+    y.sum().backward()
+    (y * 3.0).sum().backward()
+    np.testing.assert_array_equal(x.grad, [8.0])
+
+
+def test_backward_frees_interior_grads_and_keeps_leaf_grads():
+    rng = np.random.default_rng(34)
+    x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    w = Parameter(rng.normal(size=(4, 3)))
+    frozen = Tensor(rng.normal(size=(2, 3)))
+    off_graph = Parameter(rng.normal(size=3))
+    off_graph.grad += 7.0
+    loss = (((x @ w).tanh() * frozen).sum(axis=1) ** 2.0).mean()
+    nodes, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(node._parents)
+    interior = [n for n in nodes if n._backward is not None]
+    assert len(interior) == 6 and {x, w} <= nodes
+
+    loss.backward()
+    assert all(n.grad is None for n in interior)
+    h = np.tanh(x.data @ w.data)
+    dz = ((h * frozen.data).sum(axis=1, keepdims=True) * frozen.data) * (1.0 - h * h)
+    np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12, atol=1e-14)
+    assert frozen.grad is None
+    np.testing.assert_array_equal(off_graph.grad, np.full(3, 7.0))
 
 
 def test_grad_through_transposed_view_matches_finite_differences():

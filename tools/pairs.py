@@ -10,7 +10,9 @@ sides alike. Per metric the summary gives both sides' quartiles, the
 relative median delta, the pairs the change won and lost (ties count for
 neither side) and whether the change's median is better than the parent's by
 more than the parent's interquartile range. It also reports whether each
-pair's evaluation-file digests agree.
+pair's evaluation-file digests agree. Each untraced run's row keeps the
+samples behind its medians (every ``setup_s`` and each pass's wall and stage
+times) and its ``setup_peak_rss_mb``.
 
 Untraced runs are summarized on the end-to-end and per-stage metrics, traced
 runs on the per-layer ones. Which way is better comes from the parent's
@@ -119,7 +121,8 @@ def build_record(runs: list[dict], trace: int, directions: dict[str, str]) -> di
             rep, metrics = r[side]["report"], _metrics(r[side], trace)
             row[side] = {**{k: metrics[k] for k in names},
                          "passes": rep["passes"], "failed_ratio": rep["failed_ratio"],
-                         "correct": r[side]["correct"]}
+                         "correct": r[side]["correct"],
+                         **{k: rep[k] for k in ("setup_peak_rss_mb", "samples") if k in rep}}
         row["digests_equal"] = r["parent"]["report"]["digests"] == r["change"]["report"]["digests"]
         rows.append(row)
     return {
