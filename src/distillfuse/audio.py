@@ -12,8 +12,11 @@ import functools
 import struct
 import wave
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .files import atomic_write
 
 __all__ = [
     "FeatureSequence",
@@ -309,26 +312,22 @@ def read_wav(path) -> WaveForm:
 
 def write_wav(path, w: WaveForm) -> None:
     """Write mono 16-bit PCM; floats scaled by 32768, rounded, and clipped."""
-    ints = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(2)
-        f.setframerate(w.sample_rate)
-        f.writeframes(ints.tobytes())
+    data = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    # The 44-byte header ``wave`` writes: PCM fmt chunk (mono, 16-bit), then data.
+    atomic_write(path, struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data), b"WAVE",
+                                   b"fmt ", 16, 1, 1, w.sample_rate, 2 * w.sample_rate, 2, 16,
+                                   b"data", len(data)) + data)
 
 
 def save_features(path, seq: FeatureSequence) -> None:
     """Write the binary feature file: magic, version, T, n_coeffs, float64 LE."""
     t, c = seq.frames.shape
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<III", FEATURE_VERSION, t, c))
-        f.write(np.ascontiguousarray(seq.frames, dtype="<f8").tobytes())
+    atomic_write(path, FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, c)
+                 + np.ascontiguousarray(seq.frames, dtype="<f8").tobytes())
 
 
 def load_features(path) -> FeatureSequence:
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise ValueError(f"{path}: bad feature-file magic {blob[:4]!r}")
     if len(blob) < 16:

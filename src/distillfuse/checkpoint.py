@@ -16,13 +16,13 @@ Any structural problem raises CheckpointError naming the byte offset.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .files import atomic_write
 from .quant import QuantParams, QuantizedMatrix
 
 __all__ = ["Checkpoint", "CheckpointError", "load_checkpoint", "save_checkpoint"]
@@ -76,17 +76,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             )
         )
         parts.append(qm.values.tobytes())
-    # Write beside the target and rename over it, so a write that fails
-    # midway leaves any earlier checkpoint at ``path`` as it was.
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write(path, b"".join(parts))
 
 
 class _Reader:
@@ -119,9 +109,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob, path)
+    r = _Reader(Path(path).read_bytes(), path)
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic at byte 0, expected {MAGIC!r}")
     version = r.u32()
@@ -155,6 +143,6 @@ def load_checkpoint(path) -> Checkpoint:
             ckpt.quantized[name] = QuantizedMatrix(values, QuantParams(scale, zp, scheme))
         else:
             raise CheckpointError(f"{path}: unknown block flag {flag} at byte {flag_off}")
-    if r.off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - r.off} trailing bytes at byte {r.off}")
+    if r.off != len(r.blob):
+        raise CheckpointError(f"{path}: {len(r.blob) - r.off} trailing bytes at byte {r.off}")
     return ckpt

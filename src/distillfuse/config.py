@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .files import atomic_write
+
 __all__ = ["ConfigError", "RunConfig", "parse_config_file", "resolve_config", "save_config"]
 
 
@@ -159,5 +161,4 @@ def save_config(cfg: RunConfig, path) -> None:
         if isinstance(v, bool):
             v = "true" if v else "false"
         lines.append(f"{f.name} = {v}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

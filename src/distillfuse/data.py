@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import WaveForm, write_wav
+from .files import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -273,10 +274,8 @@ def synth_generate(n: int, seed: int, out_dir, sample_rate: int = 8000) -> Datas
         c_text = int(rng.integers(0, 2))
         c_audio = c_text ^ label
         transcript = _make_transcript(rng, c_text)
-        with open(out_dir / f"{pid}_TRANSCRIPT.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write(transcript)
+        atomic_write(out_dir / f"{pid}_TRANSCRIPT.csv", transcript)
         write_wav(out_dir / f"{pid}_AUDIO.wav", _make_clip(rng, c_audio, sample_rate))
         rows.append(f"{pid},{label}")
-    with open(out_dir / "labels.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(rows) + "\n")
+    atomic_write(out_dir / "labels.csv", "\n".join(rows) + "\n")
     return load_dataset(out_dir, seed=seed)

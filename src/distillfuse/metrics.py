@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import atomic_write
+
 __all__ = [
     "MetricsReport",
     "RocCurve",
@@ -175,13 +177,9 @@ def emit_report(report: MetricsReport, curve: RocCurve | None, out_dir) -> tuple
     if report.auc is not None:
         lines.append(f"auc={_fmt(report.auc)}")
     metrics_path = out_dir / "metrics.txt"
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-    roc_path = None
-    if curve is not None:
-        roc_path = out_dir / "roc.csv"
-        with open(roc_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("fpr,tpr,threshold\n")
-            for fpr, tpr, thr in curve.points:
-                f.write(f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n")
+    atomic_write(metrics_path, "\n".join(lines) + "\n")
+    roc_path = None if curve is None else out_dir / "roc.csv"
+    if roc_path is not None:
+        atomic_write(roc_path, "fpr,tpr,threshold\n" + "".join(
+            f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n" for fpr, tpr, thr in curve.points))
     return metrics_path, roc_path

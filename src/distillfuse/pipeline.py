@@ -51,6 +51,7 @@ from .distill import (
     require_finite_loss,
     student_train_step,
 )
+from .files import atomic_write
 from .metrics import MetricsReport, compute_metrics, emit_report, roc_auc
 from .models import (
     AudioTeacherModel,
@@ -169,17 +170,14 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
     for entry in entries:
         raw = Path(entry.transcript_path).read_text(encoding="utf-8")
         text = parse_and_filter_transcript(raw, cfg.interviewer)
-        with open(features_dir / f"{entry.participant_id}_text.txt", "w",
-                  encoding="utf-8", newline="\n") as f:
-            f.write(text + "\n")
+        atomic_write(features_dir / f"{entry.participant_id}_text.txt", text + "\n")
         if manifest.split_of[entry.participant_id] == "train":
             train_texts.append(text)
     save_vocab(features_dir / "vocab.txt", build_vocab(train_texts, cfg.min_count))
 
-    with open(features_dir / "splits.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("participant_id,label,split\n")
-        for entry in entries:
-            f.write(f"{entry.participant_id},{entry.label},{manifest.split_of[entry.participant_id]}\n")
+    _write_log(features_dir / "splits.csv", "participant_id,label,split",
+               [f"{e.participant_id},{e.label},{manifest.split_of[e.participant_id]}"
+                for e in entries])
     return manifest
 
 
@@ -263,10 +261,7 @@ def _step(loss, opt, where: str) -> float:
 
 
 def _write_log(path, header: str, rows: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+    atomic_write(path, "".join(line + "\n" for line in [header, *rows]))
 
 
 def _fit(cfg: RunConfig, train: list[Example], epochs: int, tag: str, stage: str,
@@ -425,11 +420,9 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
     q_bytes, f_bytes = quantized_storage_bytes(model)
     path = out_dir / "audio_teacher_quantized.ckpt"
     save_checkpoint(path, model.to_checkpoint())
-    with open(out_dir / "quantization.txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"agreement={agreement!r}\n")
-        f.write(f"quantized_bytes={q_bytes}\n")
-        f.write(f"float64_bytes={f_bytes}\n")
-        f.write(f"storage_ratio={q_bytes / f_bytes!r}\n")
+    atomic_write(out_dir / "quantization.txt",
+                 f"agreement={agreement!r}\nquantized_bytes={q_bytes}\n"
+                 f"float64_bytes={f_bytes}\nstorage_ratio={q_bytes / f_bytes!r}\n")
     return path
 
 
@@ -483,10 +476,8 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
         logger.warning("skipping ROC: %s", err)
     emit_report(report, curve, out_dir)
     if attention_rows:
-        with open(out_dir / "attention.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write("participant_id,head,weight_text,weight_audio\n")
-            for row in attention_rows:
-                f.write(row + "\n")
+        _write_log(out_dir / "attention.csv", "participant_id,head,weight_text,weight_audio",
+                   attention_rows)
     return report
 
 

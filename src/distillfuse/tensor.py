@@ -401,7 +401,7 @@ class Tensor:
             def backward(g, a=self, key=key):
                 if a.requires_grad:
                     if a.grad is None:
-                        a.grad = np.zeros_like(a.data)
+                        a.grad = np.zeros(a.data.shape)
                     a.grad[key] += g
                     a._grad_seen = True
         else:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
+
 __all__ = [
     "CLS_TOKEN",
     "PAD_TOKEN",
@@ -175,9 +177,7 @@ def encode(text: str, vocab: Vocabulary, max_len: int = 512) -> TokenSequence:
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for tok in vocab.id_to_token:
-            f.write(tok + "\n")
+    atomic_write(path, "".join(tok + "\n" for tok in vocab.id_to_token))
 
 
 def load_vocab(path) -> Vocabulary:

@@ -2,16 +2,22 @@
 reference implementations that vectorized code is compared against: the
 scalar KL, cross-entropy and blended distillation loss that the batch
 tensors' losses in ``distill`` are checked against, frame-by-frame VAD, a
-``metrics.txt`` reader, and ``capture_grad``, which records the gradient an
-interior tape node receives (backward keeps ``.grad`` only on leaves).
+``metrics.txt`` reader, ``capture_grad``, which records the gradient an
+interior tape node receives (backward keeps ``.grad`` only on leaves), and
+``fill_disk``, which makes file writes fail midway.
 
 The numeric gradient is an independent oracle for every analytic backward
 pass in the package: perturb one input coordinate at a time by +-h and take
 the centered difference of the scalar output.
 """
 
+import builtins
+import errno
+from pathlib import Path
+
 import numpy as np
 
+from distillfuse import files
 from distillfuse.audio import VadConfig, WaveForm
 from distillfuse.distill import PROB_EPS, DistillConfig, LossBreakdown, _check_distribution
 from distillfuse.tensor import Tensor
@@ -171,3 +177,31 @@ def parse_metrics_file(path) -> dict[str, float | int | bool]:
             else:
                 out[key] = float(value)
     return out
+
+
+class _DiskFillsUp:
+    """A file that takes half of the first write, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fill_disk(monkeypatch, name: str | None = None) -> None:
+    """Make ``files.atomic_write`` run out of space halfway through writing
+    the file called ``name`` (every file when None); other writes succeed."""
+    def fake_open(file, mode):
+        f = builtins.open(file, mode)
+        return _DiskFillsUp(f) if name is None or Path(file).name.startswith(f".{name}.") else f
+
+    monkeypatch.setattr(files, "open", fake_open, raising=False)

@@ -2,13 +2,9 @@
 re-saves, and structural errors that name the offending byte offset.
 """
 
-import builtins
-import errno
-
 import numpy as np
 import pytest
 
-from distillfuse import checkpoint
 from distillfuse.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -16,6 +12,7 @@ from distillfuse.checkpoint import (
     save_checkpoint,
 )
 from distillfuse.quant import calibrate, quantize
+from helpers import fill_disk
 
 
 def _sample_checkpoint(seed=0):
@@ -159,43 +156,19 @@ class TestStructuralErrors:
             load_checkpoint(p)
 
 
-class _DiskFillsUp:
-    """A file that takes half of the first write, then fails."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-    def write(self, data):
-        self.f.write(data[: len(data) // 2])
-        self.f.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-def _fill_disk(monkeypatch):
-    monkeypatch.setattr(checkpoint, "open",
-                        lambda file, mode: _DiskFillsUp(builtins.open(file, mode)),
-                        raising=False)
-
-
 class TestAtomicWrite:
     def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, _sample_checkpoint(0))
         before = path.read_bytes()
-        _fill_disk(monkeypatch)
+        fill_disk(monkeypatch)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(path, _sample_checkpoint(1))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
-        _fill_disk(monkeypatch)
+        fill_disk(monkeypatch)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(tmp_path / "model.ckpt", _sample_checkpoint(0))
         assert list(tmp_path.iterdir()) == []

@@ -273,9 +273,10 @@ def test_shared_upstream_gradient_is_never_mutated():
                 assert not np.shares_memory(g, other), name
 
     # a transposed node's data is an F-order view: matmul's results are C
-    # order and pass as they are; tanh's result is F order when its upstream
-    # g is (the basic slice lays that buffer out like the node's data), so it
-    # is copied; every stored gradient comes out C order
+    # order and pass as they are; a basic slice's gradient buffer is C order
+    # whatever the node's layout; an advanced key's scatter buffer is laid out
+    # like the node's data, so on an F-order node it is copied; every stored
+    # gradient comes out C order
     x = Tensor(pos(5, 3), requires_grad=True)
     w = Tensor(pos(5, 2), requires_grad=True)
     xt = x.transpose()
@@ -288,8 +289,18 @@ def test_shared_upstream_gradient_is_never_mutated():
     h = x.transpose().tanh()
     h_seen, xt_seen = capture_grad(h), capture_grad(h._parents[0])
     (h[1:] ** 2.0).sum().backward()
-    assert h_seen.g.flags.f_contiguous and not h_seen.g.flags.c_contiguous
+    assert h_seen.g.flags.c_contiguous
     assert xt_seen.g.flags.c_contiguous and x.grad.flags.c_contiguous
+
+    x = Tensor(pos(5, 3), requires_grad=True)
+    h = x.transpose().tanh()
+    assert h.data.flags.f_contiguous and not h.data.flags.c_contiguous
+    h_seen = capture_grad(h)
+    (h[ids] ** 2.0).sum().backward()
+    assert h_seen.g.flags.c_contiguous and x.grad.flags.c_contiguous
+    want = np.zeros(h.data.shape)
+    np.add.at(want, ids, 2.0 * h.data[ids])
+    np.testing.assert_array_equal(h_seen.g, want)
 
 
 def test_second_backward_through_an_interior_node_starts_from_zero():
