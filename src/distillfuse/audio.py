@@ -298,14 +298,18 @@ def fix_length(seq: FeatureSequence, target_frames: int = 60) -> FeatureSequence
 
 
 def read_wav(path) -> WaveForm:
-    """Read a mono 16-bit PCM WAV; samples are int16 values divided by 32768."""
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()} bits")
-        rate = f.getframerate()
-        raw = f.readframes(f.getnframes())
+    """Read a mono 16-bit PCM WAV; samples are int16 values divided by 32768.
+    A file that is not one raises ValueError naming it."""
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono, got {f.getnchannels()} channels")
+            if f.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()} bits")
+            rate = f.getframerate()
+            raw = f.readframes(f.getnframes())
+    except (wave.Error, EOFError) as err:
+        raise ValueError(f"{path}: not a readable WAV file ({err!r})") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return WaveForm(samples, rate)
 

@@ -35,6 +35,18 @@ COMMANDS = (
 
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
+_REQUIRED = {
+    "synth": ("data_dir",),
+    "preprocess": ("data_dir", "features_dir"),
+    "train-text-teacher": ("features_dir",),
+    "train-audio-teacher": ("features_dir",),
+    "train-student": ("features_dir", "text_teacher_ckpt", "audio_teacher_ckpt"),
+    "quantize": ("features_dir",),
+    "evaluate": ("features_dir", "checkpoint"),
+    "ablate": ("features_dir", "text_teacher_ckpt", "audio_teacher_ckpt"),
+    "run": (),
+}
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, metavar="FILE",
@@ -81,22 +93,20 @@ def _require(cfg: RunConfig, *keys: str) -> None:
 
 def _out_dir(cfg: RunConfig, command: str) -> Path:
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-    else:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
-        out = Path("runs") / f"{stamp}-{command}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(cfg.out_dir)
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
+    return Path("runs") / f"{stamp}-{command}"
 
 
 def _dispatch(command: str, cfg: RunConfig) -> None:
+    _require(cfg, *_REQUIRED[command])
+    if command == "quantize" and not (cfg.checkpoint or cfg.audio_teacher_ckpt):
+        raise ConfigError("missing required option(s): --checkpoint")
     if command == "synth":
-        _require(cfg, "data_dir")
         manifest = synth_generate(cfg.synth_n, cfg.seed, cfg.data_dir, cfg.synth_sample_rate)
         print(f"wrote {len(manifest.entries)} participants to {cfg.data_dir}")
         return
     if command == "preprocess":
-        _require(cfg, "data_dir", "features_dir")
         manifest = pipeline.preprocess(cfg, cfg.data_dir, cfg.features_dir)
         print(f"cached features for {len(manifest.entries)} participants in {cfg.features_dir}")
         return
@@ -104,34 +114,26 @@ def _dispatch(command: str, cfg: RunConfig) -> None:
     out = _out_dir(cfg, command)
     save_config(cfg, out / "config.txt")
     if command == "train-text-teacher":
-        _require(cfg, "features_dir")
         path = pipeline.train_text_teacher(cfg, cfg.features_dir, out)
         print(f"saved {path}")
     elif command == "train-audio-teacher":
-        _require(cfg, "features_dir")
         path = pipeline.train_audio_teacher(cfg, cfg.features_dir, out)
         print(f"saved {path}")
     elif command == "train-student":
-        _require(cfg, "features_dir", "text_teacher_ckpt", "audio_teacher_ckpt")
         path = pipeline.train_student(cfg, cfg.features_dir, cfg.text_teacher_ckpt,
                                       cfg.audio_teacher_ckpt, out)
         print(f"saved {path}")
     elif command == "quantize":
-        _require(cfg, "features_dir")
-        ckpt = cfg.checkpoint or cfg.audio_teacher_ckpt
-        if not ckpt:
-            raise ConfigError("missing required option(s): --checkpoint")
-        path = pipeline.quantize_pipeline(cfg, ckpt, cfg.features_dir, out)
+        path = pipeline.quantize_pipeline(cfg, cfg.checkpoint or cfg.audio_teacher_ckpt,
+                                          cfg.features_dir, out)
         print(f"saved {path}")
         print((out / "quantization.txt").read_text(encoding="utf-8"), end="")
     elif command == "evaluate":
-        _require(cfg, "features_dir", "checkpoint")
         report = pipeline.evaluate_model(cfg, cfg.checkpoint, cfg.features_dir,
                                          cfg.eval_split, out)
         print(f"n={report.n} accuracy={report.accuracy!r} f1_weighted={report.f1_weighted!r}"
               + (f" auc={report.auc!r}" if report.auc is not None else ""))
     elif command == "ablate":
-        _require(cfg, "features_dir", "text_teacher_ckpt", "audio_teacher_ckpt")
         table = pipeline.ablate(cfg, cfg.features_dir, cfg.text_teacher_ckpt,
                                 cfg.audio_teacher_ckpt, out)
         print(table.read_text(encoding="utf-8"), end="")

@@ -5,7 +5,6 @@ flag overlays. Precedence: built-in defaults < config file < CLI flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .files import atomic_write
 
@@ -153,8 +152,6 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> RunConfig
 
 def save_config(cfg: RunConfig, path) -> None:
     """Write the resolved configuration as parseable ``key = value`` lines."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for f in fields(RunConfig):
         v = getattr(cfg, f.name)

@@ -63,11 +63,12 @@ class DatasetManifest:
 
 def _read_labels(path: Path) -> dict[int, int]:
     with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != LABELS_HEADER:
+        lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
+    if not lines or lines[0][1] != LABELS_HEADER:
         raise ValueError(f"{path}: expected header '{LABELS_HEADER}'")
     labels: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    first: dict[int, int] = {}
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"{path} line {lineno}: expected 2 comma-separated fields")
@@ -77,6 +78,9 @@ def _read_labels(path: Path) -> dict[int, int]:
             raise ValueError(f"{path} line {lineno}: non-integer field") from None
         if label not in (0, 1):
             raise ValueError(f"{path} line {lineno}: label must be 0 or 1, got {label}")
+        if pid in first:
+            raise ValueError(f"{path} line {lineno}: participant {pid} already on line {first[pid]}")
+        first[pid] = lineno
         labels[pid] = label
     return labels
 
@@ -263,7 +267,6 @@ def synth_generate(n: int, seed: int, out_dir, sample_rate: int = 8000) -> Datas
     if n < 20:
         raise ValueError(f"need at least 20 participants, got {n}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = rng_for(seed, "synth")
     labels = np.array([k % 2 for k in range(n)], dtype=np.int64)
     rng.shuffle(labels)

@@ -140,6 +140,18 @@ def require_finite_grads(params, where: str) -> float:
     return norm
 
 
+def checked_step(loss: Tensor, opt, where: str) -> float:
+    """One optimizer step on a scalar loss, returning its value. A NaN or
+    infinite loss, or gradient norm, raises FloatingPointError naming
+    ``where`` before any parameter changes."""
+    value = require_finite_loss(loss.item(), where)
+    opt.zero_grad()
+    loss.backward()
+    require_finite_grads(opt.params, where)
+    opt.step()
+    return value
+
+
 def student_train_step(batch, teachers, student, cfg: DistillConfig, opt,
                        where: str = "student") -> LossBreakdown:
     """One optimizer step of the student against frozen teachers.
@@ -162,9 +174,5 @@ def student_train_step(batch, teachers, student, cfg: DistillConfig, opt,
     p_mix = combine_teacher_targets(p_text, p_audio, cfg.teacher_mix_beta)
     logits = student.forward_logits(batch.token_ids, batch.mask, batch.mfcc)
     loss, breakdown = distill_loss_tensors(p_mix, logits, one_hot(batch.labels), cfg)
-    require_finite_loss(breakdown.total, where)
-    opt.zero_grad()
-    loss.backward()
-    require_finite_grads(opt.params, where)
-    opt.step()
+    checked_step(loss, opt, where)
     return breakdown

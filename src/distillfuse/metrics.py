@@ -157,7 +157,6 @@ def emit_report(report: MetricsReport, curve: RocCurve | None, out_dir) -> tuple
     produce byte-identical files.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"n={report.n}",
         f"accuracy={_fmt(report.accuracy)}",

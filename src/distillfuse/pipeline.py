@@ -35,7 +35,6 @@ from .audio import (
 )
 from .config import RunConfig
 from .data import (
-    Batch,
     DatasetManifest,
     Example,
     load_dataset,
@@ -43,14 +42,7 @@ from .data import (
     rng_for,
     synth_generate,
 )
-from .distill import (
-    DistillConfig,
-    ce_loss_tensor,
-    one_hot,
-    require_finite_grads,
-    require_finite_loss,
-    student_train_step,
-)
+from .distill import DistillConfig, ce_loss_tensor, checked_step, one_hot, student_train_step
 from .files import atomic_write
 from .metrics import MetricsReport, compute_metrics, emit_report, roc_auc
 from .models import (
@@ -63,7 +55,8 @@ from .models import (
     quantized_storage_bytes,
 )
 from .optim import PlateauScheduler, make_optimizer
-from .text import encode, build_vocab, load_vocab, parse_and_filter_transcript, save_vocab
+from .text import (TranscriptParseError, build_vocab, encode, load_vocab,
+                   parse_and_filter_transcript, save_vocab)
 from .checkpoint import save_checkpoint
 from .tensor import no_grad, softmax_np
 
@@ -152,7 +145,6 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
     if cfg.threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = one worker per CPU), got {cfg.threads}")
     features_dir = Path(features_dir)
-    features_dir.mkdir(parents=True, exist_ok=True)
     manifest = load_dataset(data_dir, seed=cfg.seed)
     entries = sorted(manifest.entries, key=lambda e: e.participant_id)
 
@@ -169,7 +161,10 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
     train_texts = []
     for entry in entries:
         raw = Path(entry.transcript_path).read_text(encoding="utf-8")
-        text = parse_and_filter_transcript(raw, cfg.interviewer)
+        try:
+            text = parse_and_filter_transcript(raw, cfg.interviewer)
+        except TranscriptParseError as err:
+            raise TranscriptParseError(f"{entry.transcript_path}: {err}") from None
         atomic_write(features_dir / f"{entry.participant_id}_text.txt", text + "\n")
         if manifest.split_of[entry.participant_id] == "train":
             train_texts.append(text)
@@ -189,7 +184,7 @@ def _read_splits(features_dir) -> list[tuple[int, int, str]]:
         lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
     if not lines or lines[0][1] != "participant_id,label,split":
         raise ValueError(f"{path}: expected header 'participant_id,label,split'")
-    out = []
+    out, first = [], {}
     for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 3:
@@ -204,6 +199,9 @@ def _read_splits(features_dir) -> list[tuple[int, int, str]]:
             raise ValueError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
         if split not in ("train", "validation", "test"):
             raise ValueError(f"{path}:{lineno}: split {split!r} is not train, validation or test")
+        if pid in first:
+            raise ValueError(f"{path}:{lineno}: participant_id {pid} already on line {first[pid]}")
+        first[pid] = lineno
         out.append((pid, int(label), split))
     return out
 
@@ -231,33 +229,24 @@ def _vocab_size(features_dir) -> int:
 # ------------------------------------------------------------- training
 
 
-def _batch_probs(model, batch: Batch, temperature: float = 1.0) -> np.ndarray:
+def _split_probs(model, examples: list[Example], batch_size: int,
+                 temperature: float = 1.0) -> np.ndarray:
+    """``model``'s probabilities for ``examples``, one row each, scored with no
+    tape in in-order batches of ``batch_size``, which bound attention memory."""
     with no_grad():
-        return model.predict_probs(*model.inputs(batch), temperature=temperature)
+        return np.concatenate([model.predict_probs(*model.inputs(b), temperature=temperature)
+                               for b in make_batches(examples, batch_size)])
 
 
 def _split_loss_acc(model, examples: list[Example], batch_size: int) -> tuple[float, float]:
-    """Mean cross-entropy (natural log) and accuracy over a split."""
-    ces, hits, n = 0.0, 0, 0
-    for batch in make_batches(examples, batch_size):
-        probs = _batch_probs(model, batch)
-        p_true = np.maximum(probs[np.arange(len(batch.labels)), batch.labels], 1e-12)
-        ces += float(-np.log(p_true).sum())
-        hits += int((probs.argmax(axis=1) == batch.labels).sum())
-        n += len(batch.labels)
-    return ces / n, hits / n
-
-
-def _step(loss, opt, where: str) -> float:
-    """One optimizer step on a scalar loss, returning its value. A NaN or
-    infinite loss, or gradient norm, raises FloatingPointError naming
-    ``where`` before any parameter changes."""
-    value = require_finite_loss(loss.item(), where)
-    opt.zero_grad()
-    loss.backward()
-    require_finite_grads(opt.params, where)
-    opt.step()
-    return value
+    """Mean cross-entropy (natural log, summed batch by batch) and accuracy
+    over a split."""
+    probs = _split_probs(model, examples, batch_size)
+    labels = np.array([ex.label for ex in examples])
+    p_true = np.maximum(probs[np.arange(len(labels)), labels], 1e-12)
+    ce = sum(float(-np.log(p_true[i:i + batch_size]).sum())
+             for i in range(0, len(labels), batch_size))
+    return ce / len(labels), int((probs.argmax(axis=1) == labels).sum()) / len(labels)
 
 
 def _write_log(path, header: str, rows: list[str]) -> None:
@@ -290,14 +279,13 @@ def _train_teacher(cfg: RunConfig, features_dir, out_dir, model, name: str, opti
     (``text-teacher``) and the stage its errors name (``text teacher``).
     ``sched``, if given, sets the lr from each epoch's validation loss."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     opt = make_optimizer(optimizer, model.trainable_parameters(), lr, cfg.weight_decay)
 
     def step(batch, where):
         logits = model.forward_logits(*model.inputs(batch))
-        return _step(ce_loss_tensor(logits, one_hot(batch.labels)), opt, where)
+        return checked_step(ce_loss_tensor(logits, one_hot(batch.labels)), opt, where)
 
     def end_epoch(epoch, losses):
         val_loss, val_acc = _split_loss_acc(model, val, cfg.batch_size)
@@ -354,7 +342,6 @@ class _TeacherRows:
 def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) -> Path:
     """Distill both frozen teachers into the fused student."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     expected = "teacher checkpoints must be a text teacher and an audio teacher"
@@ -362,11 +349,9 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     audio_teacher = _load_kind(audio_ckpt, AudioTeacherModel, expected)
     text_teacher.freeze_all()
     audio_teacher.freeze_all()
-    # The teachers are frozen: score the split once, in batches that bound
-    # the attention scores' memory, and index the rows by example.
+    # The teachers are frozen: score the split once and index the rows by example.
     row_of = {ex.participant_id: i for i, ex in enumerate(train)}
-    batches = make_batches(train, cfg.batch_size)
-    tables = [np.concatenate([_batch_probs(t, b, cfg.temperature) for b in batches])
+    tables = [_split_probs(t, train, cfg.batch_size, cfg.temperature)
               for t in (text_teacher, audio_teacher)]
     student = StudentModel.build(_vocab_size(features_dir), cfg)
     dcfg = DistillConfig(cfg.alpha, cfg.teacher_mix_beta, cfg.temperature)
@@ -401,7 +386,6 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
     storage ratio.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = _load_kind(audio_ckpt, AudioTeacherModel, "expected an audio-teacher checkpoint")
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
@@ -410,12 +394,12 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
 
     def step(batch, where):
         logits = model.forward_logits(batch.mfcc, transform)
-        _step(ce_loss_tensor(logits, one_hot(batch.labels)), opt, where)
+        checked_step(ce_loss_tensor(logits, one_hot(batch.labels)), opt, where)
 
     _fit(cfg, train, cfg.epochs_qat, "qat", "QAT", step)
-    float_preds = _predictions(model, val, cfg.batch_size)
+    float_preds = _split_probs(model, val, cfg.batch_size).argmax(axis=1)
     quantize_model(model, cfg.quant_scheme)
-    quant_preds = _predictions(model, val, cfg.batch_size)
+    quant_preds = _split_probs(model, val, cfg.batch_size).argmax(axis=1)
     agreement = float(np.mean(float_preds == quant_preds))
     q_bytes, f_bytes = quantized_storage_bytes(model)
     path = out_dir / "audio_teacher_quantized.ckpt"
@@ -426,13 +410,6 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
     return path
 
 
-def _predictions(model, examples: list[Example], batch_size: int) -> np.ndarray:
-    preds = []
-    for batch in make_batches(examples, batch_size):
-        preds.append(_batch_probs(model, batch).argmax(axis=1))
-    return np.concatenate(preds)
-
-
 # ------------------------------------------------------------- evaluation
 
 
@@ -440,7 +417,6 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
     """Run a checkpoint over a split; write metrics.txt, roc.csv, and (for a
     student) per-example fusion attention weights."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(ckpt_path)
     examples = load_split_examples(cfg, features_dir, split)
     preds, scores, labels = [], [], []
@@ -491,7 +467,6 @@ def ablate(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) -> Path
     """Unimodal baselines plus the {single, multi}-head x alpha student grid,
     each trained and evaluated on the test split; one row per configuration."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
 
     def add_row(name: str, report: MetricsReport):

@@ -3,6 +3,8 @@ happy paths for each subcommand, required-flag errors on stderr with exit
 code 1, config-file/flag precedence, and the resolved-config artifact.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,38 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "no_hidden.ckpt: missing meta key 'hidden_dim'" in err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["train-text-teacher"], "--features-dir"),
+        (["evaluate", "--features-dir", "f"], "--checkpoint"),
+        (["quantize", "--features-dir", "f"], "--checkpoint"),
+        (["ablate", "--features-dir", "f"], "--text-teacher-ckpt"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    @pytest.mark.parametrize("out_dir", [True, False], ids=["out-dir", "default-out-dir"])
+    def test_missing_option_writes_nothing(self, tmp_path, monkeypatch, capsys, args, flag,
+                                           out_dir):
+        monkeypatch.chdir(tmp_path)
+        rc = main([*args, *TINY, *(["--out-dir", "x"] if out_dir else [])])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("305_AUDIO.wav", b"RIFF\x00\x00\x00", "305_AUDIO.wav: not a readable WAV file"),
+        ("305_TRANSCRIPT.csv", b"start_time\tstop_time\tspeaker\tvalue\n1.0\t2.0\tParticipant\n",
+         "305_TRANSCRIPT.csv: line 2: expected 4 tab-separated fields, got 3"),
+    ], ids=["wav", "transcript"])
+    def test_corrupt_input_names_its_file(self, prepared, tmp_path, capsys, name, content,
+                                          message):
+        data = shutil.copytree(prepared["data"], tmp_path / "data")
+        (data / name).write_bytes(content)
+        rc = main(["preprocess", *TINY, "--data-dir", str(data),
+                   "--features-dir", str(tmp_path / "feats")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / name}: ")
+        assert message in err
+        assert "Traceback" not in err
 
     def test_missing_data_dir_reports_error(self, tmp_path, capsys):
         rc = main(["preprocess", *TINY,

@@ -75,7 +75,8 @@ class TestLoadDataset:
         base = "Participant_ID,PHQ8_Binary\n"
         for bad, msg in ((base + "1,2\n", "0 or 1"),
                          (base + "1,x\n", "non-integer"),
-                         (base + "1,0,9\n", "2 comma-separated")):
+                         (base + "1,0,9\n", "2 comma-separated"),
+                         (base + "1,0\n\n1,1\n", "line 4: participant 1 already on line 2")):
             (tmp_path / "labels.csv").write_text(bad)
             with pytest.raises(ValueError, match=msg):
                 load_dataset(tmp_path)

@@ -1,12 +1,15 @@
 """Every artifact is whole or absent: each writer goes through
 ``files.atomic_write``, so a write that runs out of space midway leaves the
 earlier file byte for byte, or no file, and never a stray temp file; a write
-that succeeds produces exactly the expected bytes (text as UTF-8 with LF)."""
+that succeeds produces exactly the expected bytes (text as UTF-8 with LF).
+The writer also makes a missing output directory, and only then."""
 
 import dataclasses
 import io
 import struct
+import threading
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +176,55 @@ def test_failed_first_write_leaves_no_file(writer, tmp_path, monkeypatch):
         write(tmp_path, 0)
     assert not (tmp_path / name).exists()
     assert _temp_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_writer_makes_its_missing_directory(writer, tmp_path):
+    name, write, expected = WRITERS[writer]
+    out = tmp_path / "new" / "dir"
+    write(out, 0)
+    assert (out / name).read_bytes() == expected
+    assert _temp_files(tmp_path) == []
+
+
+def test_missing_parents_are_made(tmp_path):
+    atomic_write(tmp_path / "a" / "b" / "c.txt", "x\n")
+    assert (tmp_path / "a" / "b" / "c.txt").read_bytes() == b"x\n"
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "a", "a/b", "a/b/c.txt"]
+
+
+def test_existing_directory_is_not_made_again(tmp_path, monkeypatch):
+    def no_mkdir(self, *args, **kwargs):
+        raise AssertionError(f"mkdir {self}")
+
+    monkeypatch.setattr(Path, "mkdir", no_mkdir)
+    atomic_write(tmp_path / "t.txt", "x")
+    assert (tmp_path / "t.txt").read_bytes() == b"x"
+
+
+def test_two_threads_write_into_one_missing_directory(tmp_path):
+    for round_ in range(20):
+        out = tmp_path / f"r{round_}" / "out"
+        start = threading.Barrier(2)
+        errors = []
+
+        def write(name):
+            start.wait(timeout=10)
+            try:
+                atomic_write(out / name, name)
+            except BaseException as err:  # noqa: BLE001 - reported below
+                errors.append(err)
+
+        threads = [threading.Thread(target=write, args=(n,)) for n in ("a.txt", "b.txt")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert errors == []
+        assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt"]
+        assert (out / "a.txt").read_text() == "a.txt"
 
 
 def test_text_is_utf8_with_newlines_unchanged(tmp_path):

@@ -280,6 +280,7 @@ class TestSplitsFile:
         ("7,yes,train", "label 'yes' is not 0 or 1"),
         ("7,2,train", "label '2' is not 0 or 1"),
         ("7,1,tran", "split 'tran' is not train, validation or test"),
+        ("3,1,test", "participant_id 3 already on line 3"),
     ])
     def test_malformed_row_names_file_and_line(self, workspace, tmp_path, row, message):
         # line 2 is blank, so the bad row is on line 4 of the file
@@ -554,7 +555,7 @@ def test_negative_epochs_rejected_before_any_file(workspace, teacher_ckpts, tmp_
     }[stage]
     with pytest.raises(ValueError, match=f"^{stage}: epochs must be >= 0, got -1$"):
         run()
-    assert not any(out.rglob("*"))
+    assert not out.exists()
 
 
 def _nan_gradient(loss, logits):
