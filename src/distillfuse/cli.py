@@ -112,7 +112,6 @@ def _dispatch(command: str, cfg: RunConfig) -> None:
         return
 
     out = _out_dir(cfg, command)
-    save_config(cfg, out / "config.txt")
     if command == "train-text-teacher":
         path = pipeline.train_text_teacher(cfg, cfg.features_dir, out)
         print(f"saved {path}")
@@ -146,6 +145,8 @@ def _dispatch(command: str, cfg: RunConfig) -> None:
         print(f"artifacts under {out}")
     else:  # pragma: no cover - argparse rejects unknown commands first
         raise ConfigError(f"unknown command {command!r}")
+    # Written last, so a stage that fails on its inputs leaves no directory.
+    save_config(cfg, out / "config.txt")
 
 
 def main(argv=None) -> int:

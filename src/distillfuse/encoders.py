@@ -59,7 +59,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     Tensors or all arrays."""
     out = x @ w.transpose(1, 0)
     if b is not None:
-        out += b  # a new node on a Tensor; in place on the fresh array
+        out += b  # in place into the fresh product, Tensor or array
     return out
 
 
@@ -295,9 +295,13 @@ class BiLstm:
             f = _sigmoid(z[:, 1 * h : 2 * h])
             g = _tanh(z[:, 2 * h : 3 * h])
             o = _sigmoid(z[:, 3 * h : 4 * h])
-            cs = f * cs + i * g
+            cs = f * cs
+            cs += i * g
             hs = o * _tanh(cs)
-            h_sum = hs if h_sum is None else h_sum + hs
+            if h_sum is None:
+                h_sum = hs
+            else:
+                h_sum += hs
         mean = h_sum * (1.0 / t_steps)
         return (hs, mean) if taped else (Tensor(hs), Tensor(mean))
 

@@ -147,6 +147,14 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
     features_dir = Path(features_dir)
     manifest = load_dataset(data_dir, seed=cfg.seed)
     entries = sorted(manifest.entries, key=lambda e: e.participant_id)
+    # Parse every transcript first, so a bad one fails before any file is written.
+    texts = []
+    for entry in entries:
+        raw = Path(entry.transcript_path).read_text(encoding="utf-8")
+        try:
+            texts.append(parse_and_filter_transcript(raw, cfg.interviewer))
+        except TranscriptParseError as err:
+            raise TranscriptParseError(f"{entry.transcript_path}: {err}") from None
 
     def one(entry):
         feats = _audio_features(cfg, entry.audio_path)
@@ -159,12 +167,7 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
         list(pool.map(one, entries))
 
     train_texts = []
-    for entry in entries:
-        raw = Path(entry.transcript_path).read_text(encoding="utf-8")
-        try:
-            text = parse_and_filter_transcript(raw, cfg.interviewer)
-        except TranscriptParseError as err:
-            raise TranscriptParseError(f"{entry.transcript_path}: {err}") from None
+    for entry, text in zip(entries, texts):
         atomic_write(features_dir / f"{entry.participant_id}_text.txt", text + "\n")
         if manifest.split_of[entry.participant_id] == "train":
             train_texts.append(text)

@@ -101,6 +101,7 @@ def records_tape(*tensors: "Tensor") -> bool:
 
 def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
     out = Tensor(data)
+    out._fresh = True
     if not _grad_mode.enabled:
         return out
     live = [p for p in parents if p.requires_grad]
@@ -109,6 +110,34 @@ def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor"
         out._parents = live
         out._backward = backward
     return out
+
+
+def _keep(t: "Tensor") -> "Tensor":
+    """``t``, marked so that ``+=`` never writes its buffer. Every op marks
+    the operands and results whose data its backward reads, and a view op
+    marks both its operand and its result, which may share one buffer."""
+    t._fresh = False
+    return t
+
+
+def _add_backward(a: "Tensor", b: "Tensor"):
+    """The backward of ``a + b``, in place or not: it reads only shapes."""
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+
+    return backward
+
+
+def _fits(shape: tuple[int, ...], into: tuple[int, ...]) -> bool:
+    """True when ``shape`` broadcasts to exactly ``into``."""
+    try:
+        return shape == into or np.broadcast_shapes(shape, into) == into
+    except ValueError:
+        return False
 
 
 def _bcast_check(a: "Tensor", b: "Tensor", opname: str) -> None:
@@ -125,12 +154,17 @@ def _bcast_check(a: "Tensor", b: "Tensor", opname: str) -> None:
 class Tensor:
     """A dense row-major float64 array plus tape hooks for backprop.
 
-    Data is treated as immutable once the tensor is built (only the optimizer
-    mutates parameter values, between graph lifetimes); gradients accumulate
-    in ``.grad`` as plain float64 arrays of the same shape.
+    ``t += u`` adds into ``t``'s buffer, as numpy does, when ``t`` is an op's
+    result that no backward reads and no view shares (``_fresh``), and ``u``
+    broadcasts to ``t``'s shape; otherwise it builds ``t + u``. Either way it
+    records one add node. Tensors built directly, ``Parameter``s
+    included, are never written in place (only the optimizer mutates
+    parameter values, between graph lifetimes). Gradients accumulate in
+    ``.grad`` as plain float64 arrays of the same shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_seen")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_seen",
+                 "_fresh")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -139,6 +173,7 @@ class Tensor:
         self._parents: list[Tensor] | tuple[()] = ()
         self._backward = None
         self._grad_seen = False
+        self._fresh = False
 
     # ------------------------------------------------------------------ misc
 
@@ -198,17 +233,17 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = _as_tensor(other)
         _bcast_check(self, other, "add")
-        out = self.data + other.data
-
-        def backward(g, a=self, b=other):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.data.shape))
-
-        return _make(out, (self, other), backward)
+        return _make(self.data + other.data, (self, other), _add_backward(self, other))
 
     __radd__ = __add__
+
+    def __iadd__(self, other) -> "Tensor":
+        other = _as_tensor(other)
+        if not (self._fresh and _fits(other.data.shape, self.data.shape)):
+            return self + other
+        np.add(self.data, other.data, out=self.data)
+        self._fresh = False
+        return _make(self.data, (self, other), _add_backward(self, other))
 
     def __sub__(self, other) -> "Tensor":
         other = _as_tensor(other)
@@ -234,7 +269,7 @@ class Tensor:
             if b.requires_grad:
                 _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
-        return _make(out, (self, other), backward)
+        return _make(out, (_keep(self), _keep(other)), backward)
 
     __rmul__ = __mul__
 
@@ -249,7 +284,7 @@ class Tensor:
             if b.requires_grad:
                 _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
 
-        return _make(out, (self, other), backward)
+        return _make(out, (_keep(self), _keep(other)), backward)
 
     def __neg__(self) -> "Tensor":
         out = -self.data
@@ -270,7 +305,7 @@ class Tensor:
             if a.requires_grad:
                 _accum(a, g * p * a.data ** (p - 1.0), owned=True)
 
-        return _make(out, (self,), backward)
+        return _make(out, (_keep(self),), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = _as_tensor(other)
@@ -294,7 +329,7 @@ class Tensor:
             if tb.requires_grad:
                 _accum(tb, _unbroadcast(ta.data.swapaxes(-1, -2) @ g, tb.data.shape), owned=True)
 
-        return _make(out, (self, other), backward)
+        return _make(out, (_keep(self), _keep(other)), backward)
 
     # ------------------------------------------------------------ activations
 
@@ -307,7 +342,7 @@ class Tensor:
             if a.requires_grad:
                 _accum(a, g / a.data, owned=True)
 
-        return _make(out, (self,), backward)
+        return _make(out, (_keep(self),), backward)
 
     def sigmoid(self) -> "Tensor":
         # 0.5 * (1 + tanh(x / 2)) is overflow-free for any float64 input
@@ -317,7 +352,7 @@ class Tensor:
             if a.requires_grad:
                 _accum(a, g * y * (1.0 - y), owned=True)
 
-        return _make(out, (self,), backward)
+        return _keep(_make(out, (self,), backward))
 
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
@@ -326,7 +361,7 @@ class Tensor:
             if a.requires_grad:
                 _accum(a, g * (1.0 - y * y), owned=True)
 
-        return _make(out, (self,), backward)
+        return _keep(_make(out, (self,), backward))
 
     def relu(self) -> "Tensor":
         out = np.maximum(self.data, 0.0)
@@ -335,7 +370,7 @@ class Tensor:
             if a.requires_grad:
                 _accum(a, g * (a.data > 0.0), owned=True)
 
-        return _make(out, (self,), backward)
+        return _make(out, (_keep(self),), backward)
 
     # ------------------------------------------------------------ reductions
 
@@ -369,19 +404,15 @@ class Tensor:
     # ---------------------------------------------------------- shape moves
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         out = self.data.reshape(shape)
 
         def backward(g, a=self):
             if a.requires_grad:
                 _accum(a, g.reshape(a.data.shape))
 
-        return _make(out, (self,), backward)
+        return _keep(_make(out, (_keep(self),), backward))
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         if not axes:
             axes = tuple(range(self.data.ndim))[::-1]
         out = self.data.transpose(axes)
@@ -391,7 +422,7 @@ class Tensor:
             if a.requires_grad:
                 _accum(a, g.transpose(inverse))
 
-        return _make(out, (self,), backward)
+        return _keep(_make(out, (_keep(self),), backward))
 
     def __getitem__(self, key) -> "Tensor":
         out = self.data[key]
@@ -411,7 +442,7 @@ class Tensor:
                     np.add.at(buf, key, g)
                     _accum(a, buf, owned=True)
 
-        return _make(np.asarray(out), (self,), backward)
+        return _keep(_make(np.asarray(out), (_keep(self),), backward))
 
 
 def _is_basic_key(key) -> bool:
@@ -462,7 +493,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             dot = (g * y).sum(axis=axis, keepdims=True)
             _accum(a, y * (g - dot), owned=True)
 
-    return _make(y, (x,), backward)
+    return _keep(_make(y, (x,), backward))
 
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
@@ -473,7 +504,7 @@ def clamp_min(x: Tensor, lo: float) -> Tensor:
         if a.requires_grad:
             _accum(a, g * (a.data > lo), owned=True)
 
-    return _make(out, (x,), backward)
+    return _make(out, (_keep(x),), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

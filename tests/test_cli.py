@@ -197,6 +197,29 @@ class TestErrorPaths:
         assert message in err
         assert "Traceback" not in err
 
+    def test_bad_transcript_writes_no_features(self, prepared, tmp_path, capsys):
+        data = shutil.copytree(prepared["data"], tmp_path / "data")
+        (data / "305_TRANSCRIPT.csv").write_bytes(
+            b"start_time\tstop_time\tspeaker\tvalue\n1.0\t2.0\tParticipant\n")
+        feats = tmp_path / "feats"
+        rc = main(["preprocess", *TINY, "--data-dir", str(data), "--features-dir", str(feats)])
+        assert rc == 1
+        assert "305_TRANSCRIPT.csv" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.dfmf"))
+
+    @pytest.mark.parametrize("args", [
+        ["--features-dir", "nowhere"],
+        ["--epochs-text", "-1"],
+    ], ids=["missing-features", "negative-epochs"])
+    def test_stage_failing_on_its_inputs_leaves_no_out_dir(self, prepared, tmp_path,
+                                                            monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["train-text-teacher", *TINY, "--features-dir", str(prepared["feats"]),
+                   *args, "--out-dir", "x"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_data_dir_reports_error(self, tmp_path, capsys):
         rc = main(["preprocess", *TINY,
                    "--data-dir", str(tmp_path / "nowhere"),

@@ -1,11 +1,13 @@
 """Autodiff core: every op's backward pass against finite differences, plus
 shape/domain error contracts and graph-traversal behavior."""
 
+import inspect
 import threading
 
 import numpy as np
 import pytest
 
+from distillfuse import tensor
 from distillfuse.tensor import (
     DomainError,
     Parameter,
@@ -403,13 +405,15 @@ def test_matmul_batch_shapes_that_broadcast(a, b, want):
     assert (Tensor(np.ones(a)) @ Tensor(np.ones(b))).data.shape == want
 
 
-@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+@pytest.mark.parametrize("op", ["__add__", "__iadd__", "__sub__", "__mul__", "__truediv__"])
 def test_elementwise_shape_mismatch(op):
+    # the left operand is an op's result, so += may take its in-place path
     for a, b in [((2, 3), (3, 2)), ((4,), (5,)), ((2, 3, 4), (2, 1))]:
         with pytest.raises(ShapeError, match="do not broadcast"):
-            getattr(Tensor(np.ones(a)), op)(Tensor(np.ones(b)))
+            getattr(Tensor(np.ones(a)) + 0.0, op)(Tensor(np.ones(b)))
     for a, b in [((2, 3), (2, 3)), ((2, 3), (3,)), ((2, 1), (1, 4)), ((), (2, 2))]:
-        assert getattr(Tensor(np.ones(a)), op)(Tensor(np.ones(b))).data.shape == np.broadcast_shapes(a, b)
+        out = getattr(Tensor(np.ones(a)) + 0.0, op)(Tensor(np.ones(b)))
+        assert out.data.shape == np.broadcast_shapes(a, b)
 
 
 # ------------------------------------------------------- module functions
@@ -586,6 +590,127 @@ def test_grad_accumulates_across_backwards():
     (x * 2.0).sum().backward()
     (x * 2.0).sum().backward()
     assert x.grad == pytest.approx(4.0)
+
+
+# ------------------------------------------------------- in-place +=
+
+
+def _iadd(a, b):
+    a += b
+    return a
+
+
+# (public op, forward over fresh operands, operand shapes). Every public op
+# is named, so one that lets ``+=`` overwrite a buffer its backward reads, or
+# that a view shares, fails test_inplace_add_matches_out_of_place.
+_OPS = [
+    ("__add__", lambda a, b: a + b, [(2, 3), (2, 3)]),
+    ("__radd__", lambda a: 2.0 + a, [(2, 3)]),
+    ("__iadd__", lambda a, b: _iadd(a + 0.0, b), [(2, 3), (3,)]),
+    ("__sub__", lambda a, b: a - b, [(2, 3), (3,)]),
+    ("__mul__", lambda a, b: a * b, [(2, 3), (3,)]),
+    ("__rmul__", lambda a: 2.0 * a, [(2, 3)]),
+    ("__truediv__", lambda a, b: a / b, [(2, 3), (2, 3)]),
+    ("__neg__", lambda a: -a, [(2, 3)]),
+    ("__pow__", lambda a: a ** 3.0, [(2, 3)]),
+    ("__matmul__", lambda a, b: a @ b, [(2, 3), (3, 4)]),
+    ("log", lambda a: a.log(), [(2, 3)]),
+    ("sigmoid", lambda a: a.sigmoid(), [(2, 3)]),
+    ("tanh", lambda a: a.tanh(), [(2, 3)]),
+    ("relu", lambda a: a.relu(), [(2, 3)]),
+    ("sum", lambda a: a.sum(axis=0), [(2, 3)]),
+    ("mean", lambda a: a.mean(axis=1, keepdims=True), [(2, 3)]),
+    ("reshape", lambda a: a.reshape(3, 2), [(2, 3)]),
+    ("transpose", lambda a: a.transpose(1, 0), [(2, 3)]),
+    ("__getitem__", lambda a: a[:, 1:], [(2, 3)]),
+    ("__getitem__", lambda a: a[[0, 0, 1]], [(2, 3)]),
+    ("softmax", lambda a: softmax(a, axis=-1), [(2, 3)]),
+    ("clamp_min", lambda a: clamp_min(a, 1.0), [(2, 3)]),
+    ("concat", lambda a, b: concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    ("embedding", lambda a: embedding(a, np.array([0, 2, 2])), [(3, 2)]),
+]
+_NOT_OPS = {"__init__", "__repr__", "item", "backward", "no_grad", "records_tape", "softmax_np"}
+
+
+def test_inplace_table_names_every_public_op():
+    methods = {n for n, v in vars(Tensor).items() if inspect.isfunction(v)}
+    funcs = {n for n in tensor.__all__ if inspect.isfunction(getattr(tensor, n))}
+    assert {name for name, _, _ in _OPS} == (methods | funcs) - _NOT_OPS
+
+
+def _inplace_case(fn, shapes, target, in_place: bool):
+    """Record ``fn`` over fresh results of leaves, then add a leaf into
+    operand ``target`` (an index) or the output (``"out"``), with ``+=`` or
+    out of place. Returns the values of every tensor left standing and the
+    gradients of every leaf."""
+    rng = np.random.default_rng(0)
+    leaves = [Tensor(rng.uniform(0.5, 2.0, s), requires_grad=True) for s in shapes]
+    operands = [leaf + 0.0 for leaf in leaves]
+    out = fn(*operands)
+    t = out if target == "out" else operands[target]
+    c = Tensor(rng.uniform(-3.0, -2.5, t.shape), requires_grad=True)
+    if in_place:
+        new = t
+        new += c
+    else:
+        new = t + c
+    # the target's own buffer may hold the sum; everything else must not change
+    standing = [v for v in [*operands, out] if v is not t] + [new]
+    sum((v * rng.normal(size=v.shape)).sum() for v in standing).backward()
+    return [v.data.copy() for v in standing], [leaf.grad for leaf in [*leaves, c]]
+
+
+@pytest.mark.parametrize("name, fn, shapes", _OPS, ids=[row[0] for row in _OPS])
+def test_inplace_add_matches_out_of_place(name, fn, shapes):
+    for target in [*range(len(shapes)), "out"]:
+        got_vals, got_grads = _inplace_case(fn, shapes, target, in_place=True)
+        want_vals, want_grads = _inplace_case(fn, shapes, target, in_place=False)
+        for got, want in zip(got_vals + got_grads, want_vals + want_grads):
+            np.testing.assert_array_equal(got, want, err_msg=f"{name}, target {target}")
+
+
+def test_inplace_add_on_a_fresh_result_reuses_its_buffer(monkeypatch):
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = x @ Tensor(np.ones((3, 4)))
+    buf = y.data
+    made = []
+    make = tensor._make
+    monkeypatch.setattr(tensor, "_make", lambda *args: made.append(1) or make(*args))
+    y += Tensor(np.arange(4.0), requires_grad=True)
+    assert np.shares_memory(y.data, buf)
+    assert made == [1]
+    np.testing.assert_array_equal(y.data, np.broadcast_to(3.0 + np.arange(4.0), (2, 4)))
+
+
+def _view_of_a_result():
+    base = Tensor(np.ones((2, 3)), requires_grad=True) * 2.0
+    return base.reshape(3, 2)
+
+
+@pytest.mark.parametrize("make_self, other", [
+    (lambda: Parameter(np.ones((2, 3))), np.ones(3)),
+    (lambda: Tensor(np.ones((2, 3)), requires_grad=True), np.ones(3)),
+    (_view_of_a_result, np.ones(2)),
+    (lambda: Tensor(np.ones(3), requires_grad=True) * 2.0, np.ones((2, 3))),
+], ids=["parameter", "user-tensor", "view", "result-larger-than-self"])
+def test_inplace_add_never_overwrites(make_self, other):
+    p = make_self()
+    orig, before = p, p.data.copy()
+    p += Tensor(other)
+    np.testing.assert_array_equal(orig.data, before)
+    assert not np.shares_memory(p.data, orig.data)
+    np.testing.assert_array_equal(p.data, before + other)
+
+
+def test_inplace_add_leaves_the_old_name_spent():
+    y = Tensor(np.ones(3), requires_grad=True) * 2.0
+    r = y
+    r += 1.0  # in place: y names the same buffer and sees the sum, as in numpy
+    assert np.shares_memory(r.data, y.data)
+    y += 1.0  # y's buffer now belongs to r: a new one
+    assert not np.shares_memory(r.data, y.data)
+    np.testing.assert_array_equal(r.data, [3.0, 3.0, 3.0])
+    np.testing.assert_array_equal(y.data, [4.0, 4.0, 4.0])
 
 
 # ------------------------------------------------------- Parameter
