@@ -1,10 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Eager tape-based autodiff: every operation whose operands require gradients
-records a backward closure; ``Tensor.backward()`` walks the recorded graph in
-reverse topological order, accumulates gradients into the leaves and frees
-each interior node's gradient once its closure has passed it on. All math
-runs on row-major numpy float64 arrays. Operations where no operand requires
+gives its result a ``_Node`` holding the result's shape, its parents' nodes
+and a backward closure; ``Tensor.backward()`` walks the nodes in reverse
+topological order, accumulates gradients into the leaves and frees each
+interior node's gradient once its closure has passed it on. A leaf is its
+own node. The tape keeps no op result's data: a closure captures only the
+arrays its backward reads (the operands of ``*``, ``/`` and ``@`` that a
+gradient needs, so ``x * c`` with a constant ``c`` keeps ``c`` but not
+``x``; the inputs of ``**`` and ``log``; the outputs of ``sigmoid``,
+``tanh``, ``softmax``, ``relu`` and ``clamp_min``), so any other result is
+freed as soon as the caller drops it. All math runs on
+row-major numpy float64 arrays. Operations where no operand requires
 a gradient skip the tape entirely, so inference through frozen models
 allocates no graph. Inference through trainable models runs under
 ``no_grad()``, which skips the tape for every operation its thread runs until
@@ -99,37 +106,62 @@ def records_tape(*tensors: "Tensor") -> bool:
     return _grad_mode.enabled and any(t.requires_grad for t in tensors)
 
 
+class _Node:
+    """One recorded op: its result's shape, its parents' nodes (None for a
+    parent that needs no gradient), its backward closure, called as
+    ``backward(g, *parents)``, and, while backward runs, the gradient flowing
+    into its result. It references no op result, so no result's data (a
+    leaf parent is its own node)."""
+
+    __slots__ = ("shape", "_parents", "_backward", "grad", "_grad_seen")
+
+    def __init__(self, shape, parents, backward):
+        self.shape = shape
+        self._parents = parents
+        self._backward = backward
+        self.grad = None
+
+
 def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
     out = Tensor(data)
     out._fresh = True
-    if not _grad_mode.enabled:
-        return out
-    live = [p for p in parents if p.requires_grad]
-    if live:
-        out.requires_grad = True
-        out._parents = live
-        out._backward = backward
+    if _grad_mode.enabled:
+        # a plain loop: this runs once per op, and a comprehension costs more
+        nodes = []
+        live = False
+        for p in parents:
+            if p.requires_grad:
+                nodes.append(p._nd or p)
+                live = True
+            else:
+                nodes.append(None)
+        if live:
+            out.requires_grad = True
+            out._nd = _Node(out.data.shape, nodes, backward)
     return out
 
 
 def _keep(t: "Tensor") -> "Tensor":
-    """``t``, marked so that ``+=`` never writes its buffer. Every op marks
-    the operands and results whose data its backward reads, and a view op
-    marks both its operand and its result, which may share one buffer."""
+    """``t``, marked so that ``+=`` never writes its buffer. A view op marks
+    both its operand and its result, which may share one buffer."""
     t._fresh = False
     return t
 
 
-def _add_backward(a: "Tensor", b: "Tensor"):
+def _save(t: "Tensor") -> np.ndarray:
+    """``t.data``, for a backward closure to read, with ``t`` marked as
+    ``_keep`` marks it: the one way an op saves an array, so ``+=`` can
+    never overwrite a saved buffer."""
+    t._fresh = False
+    return t.data
+
+
+def _add_backward(g, a, b):
     """The backward of ``a + b``, in place or not: it reads only shapes."""
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return backward
+    if a is not None:
+        _accum(a, _unbroadcast(g, a.shape))
+    if b is not None:
+        _accum(b, _unbroadcast(g, b.shape))
 
 
 def _fits(shape: tuple[int, ...], into: tuple[int, ...]) -> bool:
@@ -154,26 +186,31 @@ def _bcast_check(a: "Tensor", b: "Tensor", opname: str) -> None:
 class Tensor:
     """A dense row-major float64 array plus tape hooks for backprop.
 
+    An op result's ``_nd`` is its tape node; a leaf (any tensor built
+    directly, ``Parameter``s included, or an untaped result) has none and is
+    its own node, with no parents and no backward.
+
     ``t += u`` adds into ``t``'s buffer, as numpy does, when ``t`` is an op's
     result that no backward reads and no view shares (``_fresh``), and ``u``
-    broadcasts to ``t``'s shape; otherwise it builds ``t + u``. Either way it
-    records one add node. Tensors built directly, ``Parameter``s
-    included, are never written in place (only the optimizer mutates
-    parameter values, between graph lifetimes). Gradients accumulate in
-    ``.grad`` as plain float64 arrays of the same shape.
+    broadcasts to ``t``'s shape. ``t`` then stays the same object and moves
+    onto the add's node, so every name for it sees the sum and its history.
+    Otherwise ``t += u`` builds ``t + u``. Either way it records one add node.
+    Tensors built directly are never written in place (only the optimizer
+    mutates parameter values, between graph lifetimes). Gradients accumulate
+    in a leaf's ``.grad`` as plain float64 arrays of the same shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_seen",
-                 "_fresh")
+    __slots__ = ("data", "grad", "requires_grad", "_grad_seen", "_fresh", "_nd")
+    _parents: tuple = ()
+    _backward = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: list[Tensor] | tuple[()] = ()
-        self._backward = None
         self._grad_seen = False
         self._fresh = False
+        self._nd: _Node | None = None
 
     # ------------------------------------------------------------------ misc
 
@@ -204,9 +241,10 @@ class Tensor:
             )
         # Iterative post-order DFS. A None on the stack marks that the node
         # below it has had all its parents expanded and goes into ``order``.
-        order: list[Tensor] = []
-        visited: set[Tensor] = set()
-        stack: list[Tensor | None] = [self]
+        root = self._nd or self
+        order: list = []
+        visited: set = set()
+        stack: list = [root]
         push, pop = stack.append, stack.pop
         while stack:
             node = pop()
@@ -219,13 +257,13 @@ class Tensor:
             push(node)
             push(None)
             for p in node._parents:
-                if p not in visited:
+                if p is not None and p not in visited:
                     push(p)
-        self.grad = np.ones_like(self.data)
-        self._grad_seen = True
+        root.grad = np.ones_like(self.data)
+        root._grad_seen = True
         for node in reversed(order):
             if node._backward is not None:
-                node._backward(node.grad)
+                node._backward(node.grad, *node._parents)
                 node.grad = None
 
     # ------------------------------------------------------------ arithmetic
@@ -233,7 +271,7 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = _as_tensor(other)
         _bcast_check(self, other, "add")
-        return _make(self.data + other.data, (self, other), _add_backward(self, other))
+        return _make(self.data + other.data, (self, other), _add_backward)
 
     __radd__ = __add__
 
@@ -242,19 +280,20 @@ class Tensor:
         if not (self._fresh and _fits(other.data.shape, self.data.shape)):
             return self + other
         np.add(self.data, other.data, out=self.data)
-        self._fresh = False
-        return _make(self.data, (self, other), _add_backward(self, other))
+        out = _make(self.data, (self, other), _add_backward)
+        self.requires_grad, self._nd = out.requires_grad, out._nd
+        return self
 
     def __sub__(self, other) -> "Tensor":
         other = _as_tensor(other)
         _bcast_check(self, other, "sub")
         out = self.data - other.data
 
-        def backward(g, a=self, b=other):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
+        def backward(g, na, nb):
+            if na is not None:
+                _accum(na, _unbroadcast(g, na.shape))
+            if nb is not None:
+                _accum(nb, _unbroadcast(-g, nb.shape), owned=True)
 
         return _make(out, (self, other), backward)
 
@@ -262,14 +301,16 @@ class Tensor:
         other = _as_tensor(other)
         _bcast_check(self, other, "mul")
         out = self.data * other.data
+        a = _save(self) if other.requires_grad else None
+        b = _save(other) if self.requires_grad else None
 
-        def backward(g, a=self, b=other):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+        def backward(g, na, nb):
+            if na is not None:
+                _accum(na, _unbroadcast(g * b, na.shape), owned=True)
+            if nb is not None:
+                _accum(nb, _unbroadcast(g * a, nb.shape), owned=True)
 
-        return _make(out, (_keep(self), _keep(other)), backward)
+        return _make(out, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -277,35 +318,26 @@ class Tensor:
         other = _as_tensor(other)
         _bcast_check(self, other, "div")
         out = self.data / other.data
+        a = _save(self) if other.requires_grad else None
+        b = _save(other)
 
-        def backward(g, a=self, b=other):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
+        def backward(g, na, nb):
+            if na is not None:
+                _accum(na, _unbroadcast(g / b, na.shape), owned=True)
+            if nb is not None:
+                _accum(nb, _unbroadcast(-g * a / (b * b), nb.shape), owned=True)
 
-        return _make(out, (_keep(self), _keep(other)), backward)
+        return _make(out, (self, other), backward)
 
     def __neg__(self) -> "Tensor":
-        out = -self.data
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                _accum(a, -g, owned=True)
-
-        return _make(out, (self,), backward)
+        return _make(-self.data, (self,), lambda g, na: _accum(na, -g, owned=True))
 
     def __pow__(self, exponent: float) -> "Tensor":
         p = float(exponent)
         if p != int(p) and np.any(self.data < 0.0):
             raise DomainError(f"pow: negative base with non-integer exponent {p}")
-        out = self.data**p
-
-        def backward(g, a=self, p=p):
-            if a.requires_grad:
-                _accum(a, g * p * a.data ** (p - 1.0), owned=True)
-
-        return _make(out, (_keep(self),), backward)
+        a = _save(self)
+        return _make(a**p, (self,), lambda g, na: _accum(na, g * p * a ** (p - 1.0), owned=True))
 
     def __matmul__(self, other) -> "Tensor":
         other = _as_tensor(other)
@@ -322,68 +354,58 @@ class Tensor:
                     f"matmul: batch dimensions do not broadcast, {a.shape} @ {b.shape}"
                 ) from None
         out = a @ b
+        a = _save(self) if other.requires_grad else None
+        b = _save(other) if self.requires_grad else None
 
-        def backward(g, ta=self, tb=other):
-            if ta.requires_grad:
-                _accum(ta, _unbroadcast(g @ tb.data.swapaxes(-1, -2), ta.data.shape), owned=True)
-            if tb.requires_grad:
-                _accum(tb, _unbroadcast(ta.data.swapaxes(-1, -2) @ g, tb.data.shape), owned=True)
+        def backward(g, na, nb):
+            if na is not None:
+                _accum(na, _unbroadcast(g @ b.swapaxes(-1, -2), na.shape), owned=True)
+            if nb is not None:
+                _accum(nb, _unbroadcast(a.swapaxes(-1, -2) @ g, nb.shape), owned=True)
 
-        return _make(out, (_keep(self), _keep(other)), backward)
+        return _make(out, (self, other), backward)
 
     # ------------------------------------------------------------ activations
+    # An op whose backward reads its output (here and in ``softmax`` and
+    # ``clamp_min``) saves it once ``_make`` has built it, as ``y``; the
+    # closure looks ``y`` up when backward runs.
 
     def log(self) -> "Tensor":
         if np.any(self.data <= 0.0):
             raise DomainError("log: non-positive input value")
-        out = np.log(self.data)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                _accum(a, g / a.data, owned=True)
-
-        return _make(out, (_keep(self),), backward)
+        a = _save(self)
+        return _make(np.log(a), (self,), lambda g, na: _accum(na, g / a, owned=True))
 
     def sigmoid(self) -> "Tensor":
         # 0.5 * (1 + tanh(x / 2)) is overflow-free for any float64 input
-        out = 0.5 * (1.0 + np.tanh(0.5 * self.data))
-
-        def backward(g, a=self, y=out):
-            if a.requires_grad:
-                _accum(a, g * y * (1.0 - y), owned=True)
-
-        return _keep(_make(out, (self,), backward))
+        out = _make(0.5 * (1.0 + np.tanh(0.5 * self.data)), (self,),
+                    lambda g, na: _accum(na, g * y * (1.0 - y), owned=True))
+        y = _save(out)
+        return out
 
     def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-
-        def backward(g, a=self, y=out):
-            if a.requires_grad:
-                _accum(a, g * (1.0 - y * y), owned=True)
-
-        return _keep(_make(out, (self,), backward))
+        out = _make(np.tanh(self.data), (self,),
+                    lambda g, na: _accum(na, g * (1.0 - y * y), owned=True))
+        y = _save(out)
+        return out
 
     def relu(self) -> "Tensor":
-        out = np.maximum(self.data, 0.0)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                _accum(a, g * (a.data > 0.0), owned=True)
-
-        return _make(out, (_keep(self),), backward)
+        # max(x, 0) > 0 exactly where x > 0, NaN included
+        out = _make(np.maximum(self.data, 0.0), (self,),
+                    lambda g, na: _accum(na, g * (y > 0.0), owned=True))
+        y = _save(out)
+        return out
 
     # ------------------------------------------------------------ reductions
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = self.data.sum(axis=axis, keepdims=keepdims)
 
-        def backward(g, a=self, axis=axis, keepdims=keepdims):
-            if not a.requires_grad:
-                return
+        def backward(g, na):
             gg = np.asarray(g)
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape))
+            _accum(na, np.broadcast_to(gg, na.shape))
 
         return _make(np.asarray(out), (self,), backward)
 
@@ -391,13 +413,11 @@ class Tensor:
         count = self.data.size if axis is None else _axis_count(self.data.shape, axis)
         out = self.data.mean(axis=axis, keepdims=keepdims)
 
-        def backward(g, a=self, axis=axis, keepdims=keepdims, count=count):
-            if not a.requires_grad:
-                return
+        def backward(g, na):
             gg = np.asarray(g) / count
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape))
+            _accum(na, np.broadcast_to(gg, na.shape))
 
         return _make(np.asarray(out), (self,), backward)
 
@@ -405,42 +425,30 @@ class Tensor:
 
     def reshape(self, *shape) -> "Tensor":
         out = self.data.reshape(shape)
-
-        def backward(g, a=self):
-            if a.requires_grad:
-                _accum(a, g.reshape(a.data.shape))
-
-        return _keep(_make(out, (_keep(self),), backward))
+        return _keep(_make(out, (_keep(self),), lambda g, na: _accum(na, g.reshape(na.shape))))
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(range(self.data.ndim))[::-1]
         out = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
-
-        def backward(g, a=self, inverse=inverse):
-            if a.requires_grad:
-                _accum(a, g.transpose(inverse))
-
-        return _keep(_make(out, (_keep(self),), backward))
+        return _keep(_make(out, (_keep(self),), lambda g, na: _accum(na, g.transpose(inverse))))
 
     def __getitem__(self, key) -> "Tensor":
         out = self.data[key]
 
         if _is_basic_key(key):
             # A basic key addresses each element at most once: add in place.
-            def backward(g, a=self, key=key):
-                if a.requires_grad:
-                    if a.grad is None:
-                        a.grad = np.zeros(a.data.shape)
-                    a.grad[key] += g
-                    a._grad_seen = True
+            def backward(g, na):
+                if na.grad is None:
+                    na.grad = np.zeros(na.shape)
+                na.grad[key] += g
+                na._grad_seen = True
         else:
-            def backward(g, a=self, key=key):
-                if a.requires_grad:
-                    buf = np.zeros_like(a.data)
-                    np.add.at(buf, key, g)
-                    _accum(a, buf, owned=True)
+            def backward(g, na):
+                buf = np.zeros(na.shape)
+                np.add.at(buf, key, g)
+                _accum(na, buf, owned=True)
 
         return _keep(_make(np.asarray(out), (_keep(self),), backward))
 
@@ -486,25 +494,22 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     Output rows are strictly positive and sum to 1 along ``axis``.
     """
-    y = softmax_np(x.data, axis)
 
-    def backward(g, a=x, y=y, axis=axis):
-        if a.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(a, y * (g - dot), owned=True)
+    def backward(g, na):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        _accum(na, y * (g - dot), owned=True)
 
-    return _keep(_make(y, (x,), backward))
+    out = _make(softmax_np(x.data, axis), (x,), backward)
+    y = _save(out)
+    return out
 
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
-    """Elementwise max(x, lo); gradient passes only where x was not clamped."""
-    out = np.maximum(x.data, lo)
-
-    def backward(g, a=x, lo=lo):
-        if a.requires_grad:
-            _accum(a, g * (a.data > lo), owned=True)
-
-    return _make(out, (_keep(x),), backward)
+    """Elementwise max(x, lo); gradient passes only where x was not clamped
+    (max(x, lo) > lo exactly where x > lo, NaN included)."""
+    out = _make(np.maximum(x.data, lo), (x,), lambda g, na: _accum(na, g * (y > lo), owned=True))
+    y = _save(out)
+    return out
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -526,13 +531,13 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=ax)
     sizes = [t.data.shape[ax] for t in tensors]
 
-    def backward(g, parts=tensors, sizes=sizes, ax=ax):
+    def backward(g, *nodes):
         start = 0
-        for t, n in zip(parts, sizes):
-            if t.requires_grad:
+        for nd, n in zip(nodes, sizes):
+            if nd is not None:
                 sl = [slice(None)] * g.ndim
                 sl[ax] = slice(start, start + n)
-                _accum(t, g[tuple(sl)])
+                _accum(nd, g[tuple(sl)])
             start += n
 
     return _make(out, tuple(tensors), backward)
@@ -550,11 +555,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         )
     out = table.data[ids]
 
-    def backward(g, t=table, ids=ids):
-        if t.requires_grad:
-            buf = np.zeros_like(t.data)
-            np.add.at(buf, ids, g)
-            _accum(t, buf, owned=True)
+    def backward(g, nt):
+        buf = np.zeros(nt.shape)
+        np.add.at(buf, ids, g)
+        _accum(nt, buf, owned=True)
 
     return _make(out, (table,), backward)
 

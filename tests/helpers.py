@@ -2,8 +2,9 @@
 reference implementations that vectorized code is compared against: the
 scalar KL, cross-entropy and blended distillation loss that the batch
 tensors' losses in ``distill`` are checked against, frame-by-frame VAD, a
-``metrics.txt`` reader, ``capture_grad``, which records the gradient an
-interior tape node receives (backward keeps ``.grad`` only on leaves), and
+``metrics.txt`` reader, ``tape_node``, the one way tests reach a tensor's
+tape node, ``capture_grad``, which records the gradient an interior tape
+node receives (backward keeps ``.grad`` only on leaves), and
 ``fill_disk``, which makes file writes fail midway.
 
 The numeric gradient is an independent oracle for every analytic backward
@@ -84,19 +85,26 @@ class CapturedGrad:
     before: np.ndarray | None = None
 
 
-def capture_grad(t: Tensor) -> CapturedGrad:
-    """Wrap interior node ``t``'s backward closure so that the next backward
-    records the upstream gradient it hands the closure."""
-    inner = t._backward
+def tape_node(t):
+    """The tape node of ``t``: an op result's node; ``t`` itself for a leaf,
+    an untaped result or a node. Tests reach tape internals only through it."""
+    return getattr(t, "_nd", None) or t
+
+
+def capture_grad(t) -> CapturedGrad:
+    """Wrap the backward closure of interior tensor or node ``t`` so that the
+    next backward records the upstream gradient it hands the closure."""
+    node = tape_node(t)
+    inner = node._backward
     if inner is None:
         raise ValueError("capture_grad needs an interior node (one with a backward closure)")
     seen = CapturedGrad()
 
-    def backward(g):
+    def backward(g, *parents):
         seen.g, seen.before = g, np.array(g, copy=True)
-        inner(g)
+        inner(g, *parents)
 
-    t._backward = backward
+    node._backward = backward
     return seen
 
 

@@ -26,7 +26,7 @@ from distillfuse import tensor
 from distillfuse.models import make_fake_quant_transform
 from distillfuse.tensor import Parameter, ShapeError, Tensor, no_grad, softmax_np
 
-from helpers import FD_TOL, check_grads, numeric_grad, rel_err
+from helpers import FD_TOL, check_grads, numeric_grad, rel_err, tape_node
 
 
 def _sigmoid(z):
@@ -50,7 +50,7 @@ def _taped_and_untaped(fn):
     """(taped, untaped) outputs of ``fn()``: called once in grad mode, where
     it must record a tape, and once under ``no_grad``, where it must not."""
     taped = fn()
-    assert taped.requires_grad and taped._parents
+    assert taped.requires_grad and tape_node(taped)._parents
     with no_grad():
         untaped = fn()
     assert not untaped.requires_grad

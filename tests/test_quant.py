@@ -2,6 +2,8 @@
 round-trip error bounds, straight-through gradients, and storage size.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from distillfuse.quant import (
     quantize,
 )
 from distillfuse.tensor import Tensor
+from helpers import tape_node
 
 
 class TestCalibrate:
@@ -155,6 +158,20 @@ class TestFakeQuant:
         p = calibrate(w.data, "asymmetric")
         fake_quant(w, p).sum().backward()
         np.testing.assert_array_equal(w.grad, np.ones((3, 3)))
+
+    def test_keeps_only_its_inside_mask(self):
+        w = Tensor(np.array([0.5, 20.0, -20.0, 1.0]), requires_grad=True)
+        y = w * 1.0
+        out = fake_quant(y, QuantParams(0.1, 0, "symmetric"))
+        freed = [weakref.ref(y.data), weakref.ref(out.data)]
+        loss = out.sum()
+        node = tape_node(loss)._parents[0]
+        del y, out
+        assert [ref() for ref in freed] == [None, None]
+        saved = [c.cell_contents for c in node._backward.__closure__]
+        assert [a.dtype for a in saved if isinstance(a, np.ndarray)] == [np.bool_]
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, [1.0, 0.0, 0.0, 1.0])
 
     def test_quantization_error_bounded_in_training_loop(self):
         # a few gradient steps through fake_quant stay numerically sane

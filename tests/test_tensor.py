@@ -1,8 +1,10 @@
 """Autodiff core: every op's backward pass against finite differences, plus
 shape/domain error contracts and graph-traversal behavior."""
 
+import gc
 import inspect
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from distillfuse.tensor import (
     softmax,
     softmax_np,
 )
-from helpers import capture_grad, check_grads, rel_err
+from helpers import capture_grad, check_grads, rel_err, tape_node
 
 
 def test_tensor_holds_float64_and_shape():
@@ -275,10 +277,9 @@ def test_shared_upstream_gradient_is_never_mutated():
                 assert not np.shares_memory(g, other), name
 
     # a transposed node's data is an F-order view: matmul's results are C
-    # order and pass as they are; a basic slice's gradient buffer is C order
-    # whatever the node's layout; an advanced key's scatter buffer is laid out
-    # like the node's data, so on an F-order node it is copied; every stored
-    # gradient comes out C order
+    # order and pass as they are; a basic slice's gradient buffer and an
+    # advanced key's scatter buffer are C order whatever the node's layout;
+    # every stored gradient comes out C order
     x = Tensor(pos(5, 3), requires_grad=True)
     w = Tensor(pos(5, 2), requires_grad=True)
     xt = x.transpose()
@@ -289,7 +290,7 @@ def test_shared_upstream_gradient_is_never_mutated():
 
     x = Tensor(pos(5, 3), requires_grad=True)
     h = x.transpose().tanh()
-    h_seen, xt_seen = capture_grad(h), capture_grad(h._parents[0])
+    h_seen, xt_seen = capture_grad(h), capture_grad(tape_node(h)._parents[0])
     (h[1:] ** 2.0).sum().backward()
     assert h_seen.g.flags.c_contiguous
     assert xt_seen.g.flags.c_contiguous and x.grad.flags.c_contiguous
@@ -322,12 +323,12 @@ def test_backward_frees_interior_grads_and_keeps_leaf_grads():
     off_graph = Parameter(rng.normal(size=3))
     off_graph.grad += 7.0
     loss = (((x @ w).tanh() * frozen).sum(axis=1) ** 2.0).mean()
-    nodes, stack = set(), [loss]
+    nodes, stack = set(), [tape_node(loss)]
     while stack:
         node = stack.pop()
         if node not in nodes:
             nodes.add(node)
-            stack.extend(node._parents)
+            stack.extend(p for p in node._parents if p is not None)
     interior = [n for n in nodes if n._backward is not None]
     assert len(interior) == 6 and {x, w} <= nodes
 
@@ -525,12 +526,12 @@ def test_no_tape_when_nothing_requires_grad():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
     c = a @ b + a
-    assert c._parents == ()
+    assert tape_node(c)._parents == ()
     assert not c.requires_grad
 
 
 def _records(t: Tensor) -> bool:
-    return t.requires_grad and bool(t._parents)
+    return t.requires_grad and bool(tape_node(t)._parents)
 
 
 def test_no_grad_records_nothing_for_trainable_parameters():
@@ -541,8 +542,8 @@ def test_no_grad_records_nothing_for_trainable_parameters():
                 softmax(w), concat([w, w], axis=1), embedding(v, np.array([0, 2])),
                 clamp_min(w, 0.2)]
     for out in outs:
-        assert out._parents == () and not out.requires_grad
-        assert out._backward is None
+        assert tape_node(out)._parents == () and not out.requires_grad
+        assert tape_node(out)._backward is None
     assert _records(w @ v)  # the same op records again outside the block
 
 
@@ -702,15 +703,84 @@ def test_inplace_add_never_overwrites(make_self, other):
     np.testing.assert_array_equal(p.data, before + other)
 
 
-def test_inplace_add_leaves_the_old_name_spent():
+def test_inplace_add_gives_every_name_the_sum_and_its_history():
     y = Tensor(np.ones(3), requires_grad=True) * 2.0
+    buf = y.data
     r = y
-    r += 1.0  # in place: y names the same buffer and sees the sum, as in numpy
-    assert np.shares_memory(r.data, y.data)
-    y += 1.0  # y's buffer now belongs to r: a new one
-    assert not np.shares_memory(r.data, y.data)
-    np.testing.assert_array_equal(r.data, [3.0, 3.0, 3.0])
-    np.testing.assert_array_equal(y.data, [4.0, 4.0, 4.0])
+    r += 1.0  # in place: r is still y, which sees the sum, as in numpy
+    assert r is y
+    y += 1.0  # and again, into the same buffer
+    assert r is y and r.data is buf
+    np.testing.assert_array_equal(r.data, [4.0, 4.0, 4.0])
+
+
+def test_inplace_add_through_another_name_reaches_the_addend():
+    x = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.arange(3.0), requires_grad=True)
+    w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    y = x * 2.0
+    r = y
+    r += c
+    (y * w).sum().backward()
+    np.testing.assert_array_equal(c.grad, w.data)
+    np.testing.assert_array_equal(x.grad, 2.0 * w.data)
+    np.testing.assert_array_equal(w.grad, 2.0 + np.arange(3.0))
+
+
+# ------------------------------------------------------- what the tape keeps
+
+
+@pytest.fixture
+def no_gc():
+    """Run the test with the cyclic collector off, so an array it sees freed
+    was freed by reference counting alone."""
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("consume, x_grad", [
+    (lambda y: y.sum(), 2.0),
+    (lambda y: y.reshape(6), 2.0),
+    (lambda y: y + 1.0, 2.0),
+    (lambda y: y.relu(), [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]),
+    (lambda y: y * 3.0, 6.0),
+], ids=["sum", "reshape", "add", "relu", "mul-by-constant"])
+def test_tape_frees_a_result_no_backward_reads(no_gc, consume, x_grad):
+    x = Tensor(np.arange(6.0).reshape(2, 3) - 2.0, requires_grad=True)
+    y = x * 2.0
+    freed = weakref.ref(y.data)
+    loss = consume(y).sum()
+    del y
+    assert freed() is None
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, np.broadcast_to(x_grad, (2, 3)))
+
+
+@pytest.mark.parametrize("op, w_grad", [
+    (lambda y, w: y * w, 2.0),
+    (lambda y, w: y @ w, 6.0),
+], ids=["mul", "matmul"])
+def test_tape_keeps_a_saved_operand_until_the_step_ends(no_gc, op, w_grad):
+    x = Tensor(np.ones((3, 3)), requires_grad=True)
+    w = Tensor(np.arange(9.0).reshape(3, 3), requires_grad=True)
+    y = x * 2.0
+    kept = weakref.ref(y.data)
+    loss = op(y, w).sum()
+    del y
+    assert kept() is not None
+    loss.backward()  # w's gradient reads the saved y
+    np.testing.assert_array_equal(w.grad, np.full((3, 3), w_grad))
+    assert kept() is not None
+    del loss
+    assert kept() is None
+
+
+def test_a_leaf_is_its_own_node_without_referencing_itself():
+    x = Tensor(np.ones(2), requires_grad=True)
+    y = x * 2.0
+    assert tape_node(x) is x and all(r is not x for r in gc.get_referents(x))
+    assert tape_node(y) is not y and tape_node(y)._parents == [x, None]
 
 
 # ------------------------------------------------------- Parameter
