@@ -11,11 +11,13 @@ Layout (all integers little-endian):
                       | f64 scale | i64 zero_point | int8/uint8 raw values
     str := u32 byte-length | utf-8 bytes
 
-Any structural problem raises CheckpointError naming the byte offset.
+Any structural problem, quantization parameters that ``QuantParams`` rejects
+included, raises CheckpointError naming the file and the byte offset.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +31,7 @@ __all__ = ["Checkpoint", "CheckpointError", "load_checkpoint", "save_checkpoint"
 
 MAGIC = b"DFCK"
 VERSION = 1
+MAX_NDIM = 64  # numpy's limit on array dimensions
 _SCHEME_CODES = {"symmetric": 0, "asymmetric": 1}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 
@@ -125,24 +128,26 @@ def load_checkpoint(path) -> Checkpoint:
         name = r.string()
         flag_off = r.off
         flag, ndim = struct.unpack("<BI", r.take(5))
-        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        if flag == 0:
-            raw = r.take(8 * count)
-            ckpt.arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        elif flag == 1:
-            scheme_code, scale, zp = struct.unpack("<Bdq", r.take(17))
-            if scheme_code not in _SCHEME_NAMES:
-                raise CheckpointError(
-                    f"{path}: unknown quantization scheme {scheme_code} at byte {flag_off}"
-                )
-            scheme = _SCHEME_NAMES[scheme_code]
-            dtype = np.int8 if scheme == "symmetric" else np.uint8
-            raw = r.take(count)
-            values = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            ckpt.quantized[name] = QuantizedMatrix(values, QuantParams(scale, zp, scheme))
-        else:
+        if flag not in (0, 1):
             raise CheckpointError(f"{path}: unknown block flag {flag} at byte {flag_off}")
+        if ndim > MAX_NDIM:
+            raise CheckpointError(f"{path}: block {name!r} has {ndim} dimensions at byte "
+                                  f"{flag_off}, at most {MAX_NDIM} allowed")
+        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+        if flag:
+            code, scale, zp = struct.unpack("<Bdq", r.take(17))
+        raw = r.take(math.prod(shape) * (1 if flag else 8))
+        try:  # QuantParams' checks, and a 0 dimension beside ones too big for numpy
+            if flag:
+                params = QuantParams(scale, zp, _SCHEME_NAMES.get(code, code))
+                dtype = np.int8 if params.scheme == "symmetric" else np.uint8
+            values = np.frombuffer(raw, dtype=dtype if flag else "<f8").reshape(shape).copy()
+        except ValueError as err:
+            raise CheckpointError(f"{path}: block {name!r} at byte {flag_off}: {err}") from None
+        if flag:
+            ckpt.quantized[name] = QuantizedMatrix(values, params)
+        else:
+            ckpt.arrays[name] = values
     if r.off != len(r.blob):
         raise CheckpointError(f"{path}: {len(r.blob) - r.off} trailing bytes at byte {r.off}")
     return ckpt

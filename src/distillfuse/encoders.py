@@ -24,7 +24,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     concat,
-    embedding,
     records_tape,
     softmax,
     softmax_np,
@@ -190,8 +189,8 @@ class EncoderLayer:
 
 
 class TextEncoder:
-    """Token + learned positional embeddings, n_layers of masked self-attention
-    blocks, pooled by the position-0 ([cls]) hidden state.
+    """Token + learned positional embeddings of (batch, length) ids, n_layers
+    of masked self-attention blocks, pooled by the position-0 ([cls]) state.
 
     Padded positions are excluded from attention at every layer (score forced
     to -inf before the softmax), so pooled output is invariant to the token
@@ -204,10 +203,6 @@ class TextEncoder:
         if d_model % n_heads != 0:
             raise ValueError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.vocab_size = vocab_size
-        self.d_model = d_model
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self.d_ff = d_ff
         self.max_len = max_len
         self.tok_emb = uniform_param(rng, (vocab_size, d_model), fan_in=d_model)
         self.pos_emb = uniform_param(rng, (max_len, d_model), fan_in=d_model)
@@ -220,20 +215,19 @@ class TextEncoder:
     def forward(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
-        if ids.ndim == 1:
-            ids, mask = ids[None, :], mask[None, :]
-        b, l = ids.shape
+        if ids.ndim != 2 or mask.shape != ids.shape:
+            raise ShapeError(f"ids and mask must both be (batch, length), got ids "
+                             f"{ids.shape} and mask {mask.shape}")
+        l = ids.shape[1]
         if l > self.max_len:
             raise ValueError(f"sequence length {l} exceeds max_len {self.max_len}")
         if ids.max() >= self.vocab_size or ids.min() < 0:
             raise IndexError(f"token id out of range for vocabulary of size {self.vocab_size}")
         add_mask = ((mask - 1.0) * -MASK_NEG)[:, None, None, :]
         taped = records_tape(*(p for _, p in self.named_parameters()))
-        if taped:
-            x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(l))
-        else:
-            x = self.tok_emb.data[ids]
-            x += self.pos_emb.data[:l]
+        w = (lambda p: p) if taped else (lambda p: p.data)
+        x = w(self.tok_emb)[ids]
+        x += w(self.pos_emb)[:l]
         for layer in self.layers:
             x = layer.forward(x, add_mask)
         return x[:, 0, :] if taped else Tensor(x[:, 0, :])

@@ -1,4 +1,4 @@
-"""Attention-weighted fusion of a text vector and an audio vector.
+"""Attention-weighted fusion of batches of text and audio vectors.
 
 Each modality is projected into a shared d_h-dimensional space, a shared
 scoring row produces one scalar per modality, and a 2-way softmax turns the
@@ -9,10 +9,8 @@ concatenated outputs through an output projection.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .encoders import linear, uniform_param, zeros_param
-from .tensor import Parameter, Tensor, concat, softmax
+from .tensor import Parameter, ShapeError, Tensor, _as_tensor, concat, softmax
 
 __all__ = ["FusionParams", "MultiHeadFusion", "fuse_attention", "multi_head_fuse"]
 
@@ -21,7 +19,6 @@ class FusionParams:
     """One fusion block: per-modality projections plus the shared scorer."""
 
     def __init__(self, d_t: int, d_a: int, d_h: int, *, rng):
-        self.d_t, self.d_a, self.d_h = d_t, d_a, d_h
         self.w_t = uniform_param(rng, (d_h, d_t), fan_in=d_t)
         self.b_t = zeros_param(d_h)
         self.w_a = uniform_param(rng, (d_h, d_a), fan_in=d_a)
@@ -36,34 +33,22 @@ class FusionParams:
         ]
 
 
-def _promote(x) -> tuple[Tensor, bool]:
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.data.ndim == 1:
-        return t.reshape(1, t.data.shape[0]), True
-    return t, False
-
-
 def fuse_attention(x_t, x_a, p: FusionParams) -> tuple[Tensor, Tensor]:
-    """Fuse one text vector with one audio vector (or batches of each).
+    """Fuse a (B, d_t) batch of text vectors with a (B, d_a) batch of audio
+    vectors, row by row.
 
     Returns (h_f, weights): h_f = w0 * h_t + w1 * h_a where h_m are the
     projected modality vectors and (w0, w1) is the softmax of their scores.
     h_f is componentwise inside [min(h_t, h_a), max(h_t, h_a)].
     """
-    xt, single_t = _promote(x_t)
-    xa, single_a = _promote(x_a)
-    if xt.data.shape[0] != xa.data.shape[0]:
-        raise ValueError(
-            f"text batch {xt.data.shape[0]} != audio batch {xa.data.shape[0]}"
-        )
+    xt, xa = _as_tensor(x_t), _as_tensor(x_a)
     h_t = linear(xt, p.w_t, p.b_t)
     h_a = linear(xa, p.w_a, p.b_a)
+    if xt.data.shape[0] != xa.data.shape[0]:
+        raise ShapeError(f"text batch {xt.data.shape[0]} != audio batch {xa.data.shape[0]}")
     e = concat([linear(h_t, p.w_e, p.b_e), linear(h_a, p.w_e, p.b_e)], axis=1)
     weights = softmax(e, axis=1)
-    h_f = weights[:, 0:1] * h_t + weights[:, 1:2] * h_a
-    if single_t and single_a:
-        return h_f[0, :], weights[0, :]
-    return h_f, weights
+    return weights[:, 0:1] * h_t + weights[:, 1:2] * h_a, weights
 
 
 class MultiHeadFusion:
@@ -74,8 +59,6 @@ class MultiHeadFusion:
     def __init__(self, d_t: int, d_a: int, d_h: int, n_heads: int = 4, *, rng):
         if n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {n_heads}")
-        self.d_h = d_h
-        self.n_heads = n_heads
         self.heads = [FusionParams(d_t, d_a, d_h, rng=rng) for _ in range(n_heads)]
         self.w_out = uniform_param(rng, (d_h, n_heads * d_h), fan_in=n_heads * d_h)
         self.b_out = zeros_param(d_h)
@@ -89,17 +72,11 @@ class MultiHeadFusion:
 
 
 def multi_head_fuse(x_t, x_a, mp: MultiHeadFusion) -> tuple[Tensor, Tensor]:
-    """Returns (h_f, weights) with weights stacked (B, H, 2) (or (H, 2) for
-    single vectors): one convex pair per head."""
-    xt, single_t = _promote(x_t)
-    xa, single_a = _promote(x_a)
+    """Returns (h_f, weights) with weights stacked (B, H, 2): one convex pair
+    per head."""
     outs, ws = [], []
     for head in mp.heads:
-        h_k, w_k = fuse_attention(xt, xa, head)
+        h_k, w_k = fuse_attention(x_t, x_a, head)
         outs.append(h_k)
         ws.append(w_k.reshape(w_k.data.shape[0], 1, 2))
-    h_f = linear(concat(outs, axis=1), mp.w_out, mp.b_out)
-    weights = concat(ws, axis=1)
-    if single_t and single_a:
-        return h_f[0, :], weights[0]
-    return h_f, weights
+    return linear(concat(outs, axis=1), mp.w_out, mp.b_out), concat(ws, axis=1)

@@ -33,10 +33,13 @@ class QuantParams:
     bits: int = 8
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.scheme not in ("symmetric", "asymmetric"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        lo, hi = self.int_range
+        if not lo <= self.zero_point <= hi:
+            raise ValueError(f"zero point {self.zero_point} outside [{lo}, {hi}]")
 
     @property
     def int_range(self) -> tuple[int, int]:

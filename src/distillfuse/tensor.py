@@ -32,7 +32,6 @@ __all__ = [
     "Tensor",
     "clamp_min",
     "concat",
-    "embedding",
     "no_grad",
     "records_tape",
     "softmax",
@@ -541,26 +540,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             start += n
 
     return _make(out, tuple(tensors), backward)
-
-
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]``; gradient scatters back into the table rows.
-
-    ``ids`` is a plain integer array (no gradient flows into indices).
-    """
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"embedding: id out of range for table with {table.data.shape[0]} rows"
-        )
-    out = table.data[ids]
-
-    def backward(g, nt):
-        buf = np.zeros(nt.shape)
-        np.add.at(buf, ids, g)
-        _accum(nt, buf, owned=True)
-
-    return _make(out, (table,), backward)
 
 
 class Parameter(Tensor):

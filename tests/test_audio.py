@@ -2,6 +2,7 @@
 error, FIR frequency response, energy VAD properties, a from-first-principles
 MFCC recomputation, and the binary feature-file format."""
 
+import re
 import struct
 
 import numpy as np
@@ -455,10 +456,12 @@ def test_feature_file_bad_version(tmp_path):
 
 
 def test_feature_file_truncated_payload(tmp_path):
-    seq = FeatureSequence(np.ones((4, 3)))
+    # cut at every offset, header included: each cut names the file
+    whole = tmp_path / "whole.bin"
+    save_features(whole, FeatureSequence(np.random.default_rng(35).normal(size=(2, 13))))
+    blob = whole.read_bytes()
     path = tmp_path / "f.bin"
-    save_features(path, seq)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(ValueError):
-        load_features(path)
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_features(path)

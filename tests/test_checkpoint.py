@@ -2,10 +2,16 @@
 re-saves, and structural errors that name the offending byte offset.
 """
 
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from distillfuse.checkpoint import (
+    MAGIC,
+    VERSION,
     Checkpoint,
     CheckpointError,
     load_checkpoint,
@@ -112,12 +118,14 @@ class TestStructuralErrors:
             load_checkpoint(p)
 
     def test_truncated_file_names_offset(self, tmp_path):
+        # cut at every offset: each cut names the file and the byte
         p = tmp_path / "t.ckpt"
         save_checkpoint(p, _sample_checkpoint())
         blob = p.read_bytes()
-        p.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointError, match="truncated.*at byte"):
-            load_checkpoint(p)
+        for n in range(len(blob)):
+            p.write_bytes(blob[:n])
+            with pytest.raises(CheckpointError, match=rf"^{re.escape(str(p))}: truncated.*at byte"):
+                load_checkpoint(p)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         p = tmp_path / "g.ckpt"
@@ -154,6 +162,63 @@ class TestStructuralErrors:
         p.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="utf-8 string at byte 12"):
             load_checkpoint(p)
+
+    def test_every_bit_flip_loads_or_raises_checkpoint_error(self, tmp_path):
+        # v1 has no checksum, so a flip may load; it must never escape as
+        # another error (a 0 dimension beside huge ones used to, from numpy)
+        p = tmp_path / "flip.ckpt"
+        save_checkpoint(p, _sample_checkpoint())
+        blob = p.read_bytes()
+        for i in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                p.write_bytes(bytes(flipped))
+                try:
+                    load_checkpoint(p)
+                except CheckpointError as err:
+                    assert str(err).startswith(f"{p}: ")
+
+
+def _pack_str(s: str) -> bytes:
+    return struct.pack("<I", len(s)) + s.encode()
+
+
+def _one_block(flag: int, ndim: int, shape: tuple, payload: bytes) -> bytes:
+    """A hand-built checkpoint holding one block named 'w'."""
+    return (MAGIC + struct.pack("<I", VERSION) + _pack_str("m") + struct.pack("<II", 0, 1)
+            + _pack_str("w") + struct.pack(f"<BI{len(shape)}I", flag, ndim, *shape) + payload)
+
+
+def _quantized_block(scale: float, zero_point: int) -> bytes:
+    return _one_block(1, 1, (2,), struct.pack("<Bdq", 0, scale, zero_point) + b"\x01\x02")
+
+
+CRAFTED = {
+    # int64 np.prod of this shape wraps to 0 elements; the true count is 2**64
+    "shape-product-overflows": (_one_block(0, 4, (65536,) * 4, b"\x00" * 8), "truncated"),
+    "ndim-beyond-numpy": (_one_block(0, 70, (1,) * 70, b"\x00" * 8), "70 dimensions"),
+    "zero-scale": (_quantized_block(0.0, 0), "block 'w' at byte .*scale"),
+    "nan-scale": (_quantized_block(math.nan, 0), "block 'w' at byte .*scale"),
+    "zero-point-out-of-range": (_quantized_block(0.5, 2**62), "block 'w' at byte .*zero point"),
+}
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_crafted_block_raises_checkpoint_error_naming_the_file(tmp_path, name):
+    blob, match = CRAFTED[name]
+    p = tmp_path / f"{name}.ckpt"
+    p.write_bytes(blob)
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(p))}: .*{match}"):
+        load_checkpoint(p)
+
+
+def test_hand_built_block_loads_when_sound(tmp_path):
+    p = tmp_path / "sound.ckpt"
+    p.write_bytes(_quantized_block(0.5, 0))
+    q = load_checkpoint(p).quantized["w"]
+    np.testing.assert_array_equal(q.values, [1, 2])
+    assert (q.params.scale, q.params.zero_point, q.params.scheme) == (0.5, 0, "symmetric")
 
 
 class TestAtomicWrite:

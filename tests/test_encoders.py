@@ -216,12 +216,14 @@ class TestTextEncoder:
         out = enc.forward(ids, mask)
         assert out.data.shape == (2, 8)
 
-    def test_single_sequence_promoted(self):
+    def test_single_sequence_rejected(self):
+        # ids and mask are (batch, length); one sequence is a batch of one
         enc = self._tiny()
         ids = np.array([2, 5, 3])
-        mask = np.ones(3)
-        out = enc.forward(ids, mask)
-        assert out.data.shape == (1, 8)
+        for args in ((ids, np.ones(3)), (ids, np.ones((1, 3))), (ids[None], np.ones(3))):
+            with pytest.raises(ShapeError, match=r"ids \(\d.*\) and mask \(\d"):
+                enc.forward(*args)
+        assert enc.forward(ids[None], np.ones((1, 3))).data.shape == (1, 8)
 
     def test_padding_ids_do_not_affect_output(self):
         # Everything past the mask should be invisible: swapping the padded

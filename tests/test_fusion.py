@@ -16,7 +16,7 @@ from distillfuse.fusion import (
     fuse_attention,
     multi_head_fuse,
 )
-from distillfuse.tensor import Tensor
+from distillfuse.tensor import ShapeError, Tensor
 
 from helpers import check_grads
 
@@ -89,16 +89,16 @@ class TestFuseAttention:
         np.testing.assert_allclose(h0.data, h1.data, rtol=0, atol=1e-9)
 
     def test_single_vector_inputs(self):
+        # fusion takes (B, d) batches only; one example is a batch of one
         rng = np.random.default_rng(13)
         p = FusionParams(4, 6, 5, rng=rng)
         x_t = rng.normal(size=4)
         x_a = rng.normal(size=6)
-        h_f, w = fuse_attention(x_t, x_a, p)
-        assert h_f.data.shape == (5,)
-        assert w.data.shape == (2,)
-        h_b, w_b = fuse_attention(x_t[None], x_a[None], p)
-        np.testing.assert_array_equal(h_f.data, h_b.data[0])
-        np.testing.assert_array_equal(w.data, w_b.data[0])
+        for args in ((x_t, x_a), (x_t, x_a[None]), (x_t[None], x_a)):
+            with pytest.raises(ShapeError, match="matmul"):
+                fuse_attention(*args, p)
+        h_f, w = fuse_attention(x_t[None], x_a[None], p)
+        assert h_f.data.shape == (1, 5) and w.data.shape == (1, 2)
 
     def test_batch_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -198,9 +198,11 @@ class TestMultiHeadFusion:
     def test_single_vector_inputs(self):
         rng = np.random.default_rng(37)
         mp = MultiHeadFusion(3, 3, 4, n_heads=2, rng=rng)
-        h_f, w = multi_head_fuse(rng.normal(size=3), rng.normal(size=3), mp)
-        assert h_f.data.shape == (4,)
-        assert w.data.shape == (2, 2)
+        x_t, x_a = rng.normal(size=3), rng.normal(size=3)
+        with pytest.raises(ShapeError, match="matmul"):
+            multi_head_fuse(x_t, x_a, mp)
+        h_f, w = multi_head_fuse(x_t[None], x_a[None], mp)
+        assert h_f.data.shape == (1, 4) and w.data.shape == (1, 2, 2)
 
     def test_head_count_validated(self):
         with pytest.raises(ValueError, match="n_heads"):

@@ -4,6 +4,7 @@ storage, and the attention-weight surface.
 """
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from distillfuse.models import (
     quantize_model,
     quantized_storage_bytes,
 )
-from distillfuse.quant import QuantizedMatrix, QuantParams, dequantize
+from distillfuse.quant import dequantize
 
 
 def _tiny_cfg(**kw):
@@ -347,9 +348,12 @@ class TestCheckpointValidation:
     def test_non_finite_quantized_block_rejected(self, tmp_path):
         model = quantize_model(AudioTeacherModel.build(_tiny_cfg()))
         ckpt = model.to_checkpoint()
-        qm = ckpt.quantized["wh_b"]
-        ckpt.quantized["wh_b"] = QuantizedMatrix(
-            qm.values, QuantParams(np.nan, qm.params.zero_point, qm.params.scheme))
         path = self._save(tmp_path / "bad_q.ckpt", ckpt, ckpt.meta)
+        # QuantParams refuses a NaN scale, so write it into the file itself
+        p = ckpt.quantized["wh_b"].params
+        record = struct.pack("<dq", p.scale, p.zero_point)
+        blob = path.read_bytes()
+        assert blob.count(record) == 1
+        path.write_bytes(blob.replace(record, struct.pack("<dq", np.nan, p.zero_point)))
         with pytest.raises(CheckpointError, match="block 'wh_b'"):
             load_model(path)

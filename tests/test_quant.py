@@ -61,6 +61,15 @@ class TestCalibrate:
             QuantParams(0.0, 0, "symmetric")
         with pytest.raises(ValueError, match="scheme"):
             QuantParams(1.0, 0, "int4")
+        for scale in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="scale"):
+                QuantParams(scale, 0, "symmetric")
+        for zp, scheme in ((-128, "symmetric"), (128, "symmetric"), (2**62, "symmetric"),
+                           (-1, "asymmetric"), (256, "asymmetric")):
+            with pytest.raises(ValueError, match="zero point"):
+                QuantParams(0.5, zp, scheme)
+        assert QuantParams(0.5, -127, "symmetric").zero_point == -127
+        assert QuantParams(0.5, 255, "asymmetric").zero_point == 255
 
 
 class TestQuantizeRoundTrip:

@@ -17,7 +17,6 @@ from distillfuse.tensor import (
     Tensor,
     clamp_min,
     concat,
-    embedding,
     no_grad,
     records_tape,
     softmax,
@@ -259,7 +258,7 @@ def test_shared_upstream_gradient_is_never_mutated():
         "relu": (lambda p: p.relu(), [rng.normal(size=(3, 4))]),
         "softmax": (lambda p: softmax(p), [rng.normal(size=(3, 4))]),
         "clamp_min": (lambda p: clamp_min(p, 1.0), [pos(3, 4)]),
-        "embedding": (lambda p: embedding(p, ids), [pos(3, 4)]),
+        "getitem-id-table": (lambda p: p[ids.reshape(1, 3)], [pos(3, 4)]),
         "getitem-advanced": (lambda p: p[ids], [pos(3, 4)]),
     }
     for name, (op, arrays) in owned_ops.items():
@@ -492,25 +491,6 @@ def test_concat_shape_mismatch():
         concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
 
 
-def test_embedding_gather_and_scatter_grad():
-    table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    ids = np.array([[1, 1], [3, 0]])
-    out = embedding(table, ids)
-    assert out.data.shape == (2, 2, 3)
-    np.testing.assert_array_equal(out.data[0, 0], [3.0, 4.0, 5.0])
-    out.sum().backward()
-    # row 1 was gathered twice, rows 0 and 3 once, row 2 never
-    np.testing.assert_array_equal(table.grad[:, 0], [1.0, 2.0, 0.0, 1.0])
-
-
-def test_embedding_out_of_range():
-    table = Tensor(np.ones((4, 3)))
-    with pytest.raises(IndexError):
-        embedding(table, np.array([4]))
-    with pytest.raises(IndexError):
-        embedding(table, np.array([-1]))
-
-
 # ------------------------------------------------------- graph behavior
 
 
@@ -539,7 +519,7 @@ def test_no_grad_records_nothing_for_trainable_parameters():
     v = Parameter(np.ones((3, 2)))
     with no_grad():
         outs = [w + 1.0, w * w, w @ v, (w @ v).sum(), w[:, 1:], w.tanh(), w.transpose(),
-                softmax(w), concat([w, w], axis=1), embedding(v, np.array([0, 2])),
+                softmax(w), concat([w, w], axis=1), v[np.array([0, 2])],
                 clamp_min(w, 0.2)]
     for out in outs:
         assert tape_node(out)._parents == () and not out.requires_grad
@@ -628,7 +608,7 @@ _OPS = [
     ("softmax", lambda a: softmax(a, axis=-1), [(2, 3)]),
     ("clamp_min", lambda a: clamp_min(a, 1.0), [(2, 3)]),
     ("concat", lambda a, b: concat([a, b], axis=0), [(2, 3), (1, 3)]),
-    ("embedding", lambda a: embedding(a, np.array([0, 2, 2])), [(3, 2)]),
+    ("__getitem__", lambda a: a[np.array([[0, 2], [2, 1]])], [(3, 2)]),
 ]
 _NOT_OPS = {"__init__", "__repr__", "item", "backward", "no_grad", "records_tape", "softmax_np"}
 
