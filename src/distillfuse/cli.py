@@ -98,6 +98,11 @@ def _out_dir(cfg: RunConfig, command: str) -> Path:
     return Path("runs") / f"{stamp}-{command}"
 
 
+def _report_line(report) -> str:
+    return (f"n={report.n} accuracy={report.accuracy!r} f1_weighted={report.f1_weighted!r}"
+            + (f" auc={report.auc!r}" if report.auc is not None else ""))
+
+
 def _dispatch(command: str, cfg: RunConfig) -> None:
     _require(cfg, *_REQUIRED[command])
     if command == "quantize" and not (cfg.checkpoint or cfg.audio_teacher_ckpt):
@@ -130,18 +135,14 @@ def _dispatch(command: str, cfg: RunConfig) -> None:
     elif command == "evaluate":
         report = pipeline.evaluate_model(cfg, cfg.checkpoint, cfg.features_dir,
                                          cfg.eval_split, out)
-        print(f"n={report.n} accuracy={report.accuracy!r} f1_weighted={report.f1_weighted!r}"
-              + (f" auc={report.auc!r}" if report.auc is not None else ""))
+        print(_report_line(report))
     elif command == "ablate":
         table = pipeline.ablate(cfg, cfg.features_dir, cfg.text_teacher_ckpt,
                                 cfg.audio_teacher_ckpt, out)
         print(table.read_text(encoding="utf-8"), end="")
     elif command == "run":
         result = pipeline.run_full(cfg, out)
-        report = result["student_report"]
-        print(f"student: n={report.n} accuracy={report.accuracy!r} "
-              f"f1_weighted={report.f1_weighted!r}"
-              + (f" auc={report.auc!r}" if report.auc is not None else ""))
+        print(f"student: {_report_line(result['student_report'])}")
         print(f"artifacts under {out}")
     else:  # pragma: no cover - argparse rejects unknown commands first
         raise ConfigError(f"unknown command {command!r}")
@@ -160,8 +161,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.config, overrides)
         _dispatch(args.command, cfg)
-    except (ConfigError, CheckpointError, TranscriptParseError, ValueError,
-            FileNotFoundError) as err:
+    except (ConfigError, CheckpointError, TranscriptParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

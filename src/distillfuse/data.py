@@ -30,7 +30,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Batch",
     "DatasetManifest",
-    "Example",
     "ManifestEntry",
     "load_dataset",
     "make_batches",
@@ -141,46 +140,31 @@ def _scan_ids(data_dir: Path) -> list[int]:
 
 
 @dataclass
-class Example:
-    participant_id: int
-    token_ids: np.ndarray  # (L,) int64
-    mask: np.ndarray  # (L,) float64
-    mfcc: np.ndarray  # (T, C) float64
-    label: int
-
-
-@dataclass
 class Batch:
-    token_ids: np.ndarray  # (B, L)
-    mask: np.ndarray  # (B, L)
-    mfcc: np.ndarray  # (B, T, C)
-    labels: np.ndarray  # (B,)
+    """Stacked rows of a split (or all of it): row i is participant ``ids[i]``."""
+
+    token_ids: np.ndarray  # (B, L) int64
+    mask: np.ndarray  # (B, L) float64
+    mfcc: np.ndarray  # (B, T, C) float64
+    labels: np.ndarray  # (B,) int64
     ids: tuple[int, ...]
 
 
-def make_batches(examples: list[Example], batch_size: int,
+def make_batches(split: Batch, batch_size: int,
                  rng: np.random.Generator | None = None) -> list[Batch]:
-    """Group examples into batches in order (optionally shuffled first); the
-    last batch carries the remainder."""
+    """Split ``split``'s rows into batches in order (optionally shuffled
+    first); the last batch carries the remainder."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not examples:
+    n = len(split.ids)
+    if not n:
         raise ValueError("no examples to batch")
-    order = list(range(len(examples)))
-    if rng is not None:
-        order = list(rng.permutation(len(examples)))
+    order = np.arange(n) if rng is None else rng.permutation(n)
     out = []
-    for i in range(0, len(order), batch_size):
-        chunk = [examples[j] for j in order[i : i + batch_size]]
-        out.append(
-            Batch(
-                token_ids=np.stack([e.token_ids for e in chunk]),
-                mask=np.stack([e.mask for e in chunk]),
-                mfcc=np.stack([e.mfcc for e in chunk]),
-                labels=np.array([e.label for e in chunk], dtype=np.int64),
-                ids=tuple(e.participant_id for e in chunk),
-            )
-        )
+    for i in range(0, n, batch_size):
+        rows = order[i : i + batch_size]
+        out.append(Batch(split.token_ids[rows], split.mask[rows], split.mfcc[rows],
+                         split.labels[rows], tuple(split.ids[j] for j in rows)))
     return out
 
 

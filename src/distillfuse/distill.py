@@ -131,9 +131,12 @@ def require_finite_loss(value: float, where: str) -> float:
 
 
 def require_finite_grads(params, where: str) -> float:
-    """Return the global L2 norm of the gradients of ``params``; raise
-    FloatingPointError naming ``where`` if it is NaN or infinite (some
-    gradient entry is, or their squares overflow)."""
+    """Return the global L2 norm of the gradients of ``params``. A parameter
+    that backward did not reach raises RuntimeError naming ``where``, and a
+    NaN or infinite norm (some entry is, or their squares overflow) raises
+    FloatingPointError naming ``where``."""
+    if any(p.grad is None for p in params):
+        raise RuntimeError(f"{where}: backward did not reach every trainable parameter")
     norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params))
     if not math.isfinite(norm):
         raise FloatingPointError(f"{where}: non-finite gradient norm {norm!r}")
@@ -142,8 +145,8 @@ def require_finite_grads(params, where: str) -> float:
 
 def checked_step(loss: Tensor, opt, where: str) -> float:
     """One optimizer step on a scalar loss, returning its value. A NaN or
-    infinite loss, or gradient norm, raises FloatingPointError naming
-    ``where`` before any parameter changes."""
+    infinite loss or gradient norm, or a parameter backward did not reach,
+    raises naming ``where`` before any parameter changes."""
     value = require_finite_loss(loss.item(), where)
     opt.zero_grad()
     loss.backward()

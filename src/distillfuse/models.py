@@ -135,15 +135,11 @@ class _Model:
                 for n, p in getattr(self, attr).named_parameters()]
 
     def trainable_parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters() if p.trainable]
+        return [p for _, p in self.named_parameters() if p.requires_grad]
 
     def forward_with_attention(self, *inputs) -> tuple[Tensor, np.ndarray | None]:
         """(logits, fusion attention weights); a model without fusion has none."""
         return self.forward_logits(*inputs), None
-
-    def freeze_all(self) -> None:
-        for _, p in self.named_parameters():
-            p.freeze()
 
     def to_checkpoint(self) -> Checkpoint:
         values = dict(self.meta, quantized=bool(self.quantized_blocks))

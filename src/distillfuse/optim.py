@@ -19,17 +19,17 @@ class SGD:
     def __init__(self, params: list[Parameter], lr: float):
         if lr <= 0.0:
             raise ValueError(f"lr must be positive, got {lr}")
-        self.params = [p for p in params if p.trainable]
+        self.params = [p for p in params if p.requires_grad]
         self.lr = float(lr)
         self.step_count = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def _check_grads(self) -> None:
-        if not any(p._grad_seen for p in self.params):
-            raise RuntimeError("optimizer step before any backward pass populated gradients")
+        if any(p.grad is None for p in self.params):
+            raise RuntimeError("optimizer step before a backward pass reached every parameter")
 
     def step(self) -> None:
         self._check_grads()

@@ -35,8 +35,8 @@ from .audio import (
 )
 from .config import RunConfig
 from .data import (
+    Batch,
     DatasetManifest,
-    Example,
     load_dataset,
     make_batches,
     rng_for,
@@ -209,20 +209,23 @@ def _read_splits(features_dir) -> list[tuple[int, int, str]]:
     return out
 
 
-def load_split_examples(cfg: RunConfig, features_dir, split: str) -> list[Example]:
-    """Materialize encoded text + fixed-length MFCC examples for one split."""
+def load_split_examples(cfg: RunConfig, features_dir, split: str) -> Batch:
+    """One split's encoded text and fixed-length MFCC frames, stacked into
+    one ``Batch`` in ``splits.csv`` order."""
     features_dir = Path(features_dir)
     vocab = load_vocab(features_dir / "vocab.txt")
     rows = [(pid, label) for pid, label, s in _read_splits(features_dir) if s == split]
     if not rows:
         raise ValueError(f"split {split!r} is empty in {features_dir}")
-    examples = []
-    for pid, label in rows:
+    seqs, frames = [], []
+    for pid, _ in rows:
         text = (features_dir / f"{pid}_text.txt").read_text(encoding="utf-8").rstrip("\n")
-        seq = encode(text, vocab, cfg.max_len)
-        feats = fix_length(load_features(features_dir / f"{pid}.dfmf"), cfg.target_frames)
-        examples.append(Example(pid, seq.ids, seq.mask, feats.frames, label))
-    return examples
+        seqs.append(encode(text, vocab, cfg.max_len))
+        frames.append(fix_length(load_features(features_dir / f"{pid}.dfmf"),
+                                 cfg.target_frames).frames)
+    return Batch(token_ids=np.stack([q.ids for q in seqs]), mask=np.stack([q.mask for q in seqs]),
+                 mfcc=np.stack(frames), labels=np.array([lb for _, lb in rows], dtype=np.int64),
+                 ids=tuple(pid for pid, _ in rows))
 
 
 def _vocab_size(features_dir) -> int:
@@ -232,20 +235,19 @@ def _vocab_size(features_dir) -> int:
 # ------------------------------------------------------------- training
 
 
-def _split_probs(model, examples: list[Example], batch_size: int,
-                 temperature: float = 1.0) -> np.ndarray:
-    """``model``'s probabilities for ``examples``, one row each, scored with no
+def _split_probs(model, split: Batch, batch_size: int, temperature: float = 1.0) -> np.ndarray:
+    """``model``'s probabilities for ``split``, one row each, scored with no
     tape in in-order batches of ``batch_size``, which bound attention memory."""
     with no_grad():
         return np.concatenate([model.predict_probs(*model.inputs(b), temperature=temperature)
-                               for b in make_batches(examples, batch_size)])
+                               for b in make_batches(split, batch_size)])
 
 
-def _split_loss_acc(model, examples: list[Example], batch_size: int) -> tuple[float, float]:
+def _split_loss_acc(model, split: Batch, batch_size: int) -> tuple[float, float]:
     """Mean cross-entropy (natural log, summed batch by batch) and accuracy
     over a split."""
-    probs = _split_probs(model, examples, batch_size)
-    labels = np.array([ex.label for ex in examples])
+    probs = _split_probs(model, split, batch_size)
+    labels = split.labels
     p_true = np.maximum(probs[np.arange(len(labels)), labels], 1e-12)
     ce = sum(float(-np.log(p_true[i:i + batch_size]).sum())
              for i in range(0, len(labels), batch_size))
@@ -256,7 +258,7 @@ def _write_log(path, header: str, rows: list[str]) -> None:
     atomic_write(path, "".join(line + "\n" for line in [header, *rows]))
 
 
-def _fit(cfg: RunConfig, train: list[Example], epochs: int, tag: str, stage: str,
+def _fit(cfg: RunConfig, train: Batch, epochs: int, tag: str, stage: str,
          step, end_epoch=None) -> list[str]:
     """The training loop every stage shares. Epoch n shuffles ``train`` with
     ``rng_for(cfg.seed, f"{tag}-epoch-{n}")`` and calls ``step(batch, where)``
@@ -320,12 +322,17 @@ def train_audio_teacher(cfg: RunConfig, features_dir, out_dir) -> Path:
                           sched)
 
 
-def _load_kind(path, cls, expected: str):
-    """The model in ``path``; a checkpoint of another kind raises ValueError
-    naming the file, the kind it holds and ``expected``."""
+def _load_kind(path, features_dir, cls=object, expected: str = ""):
+    """The model in ``path``. ValueError names the file when it is not a
+    ``cls`` (with its kind and ``expected``), or when its ``vocab_size`` is
+    not that of ``features_dir``'s ``vocab.txt`` (with both sizes)."""
     model = load_model(path)
     if not isinstance(model, cls):
         raise ValueError(f"{path}: holds kind {model.kind!r}; {expected}")
+    size, vocab = model.meta.get("vocab_size"), Path(features_dir) / "vocab.txt"
+    if size is not None and size != load_vocab(vocab).size:
+        raise ValueError(f"{path}: vocab_size {size} does not match the "
+                         f"{load_vocab(vocab).size} tokens of {vocab}")
     return model
 
 
@@ -348,12 +355,10 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     expected = "teacher checkpoints must be a text teacher and an audio teacher"
-    text_teacher = _load_kind(text_ckpt, TextTeacherModel, expected)
-    audio_teacher = _load_kind(audio_ckpt, AudioTeacherModel, expected)
-    text_teacher.freeze_all()
-    audio_teacher.freeze_all()
-    # The teachers are frozen: score the split once and index the rows by example.
-    row_of = {ex.participant_id: i for i, ex in enumerate(train)}
+    text_teacher = _load_kind(text_ckpt, features_dir, TextTeacherModel, expected)
+    audio_teacher = _load_kind(audio_ckpt, features_dir, AudioTeacherModel, expected)
+    # The teachers do not train: score the split once and index the rows by participant.
+    row_of = {pid: i for i, pid in enumerate(train.ids)}
     tables = [_split_probs(t, train, cfg.batch_size, cfg.temperature)
               for t in (text_teacher, audio_teacher)]
     student = StudentModel.build(_vocab_size(features_dir), cfg)
@@ -389,7 +394,8 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
     storage ratio.
     """
     out_dir = Path(out_dir)
-    model = _load_kind(audio_ckpt, AudioTeacherModel, "expected an audio-teacher checkpoint")
+    model = _load_kind(audio_ckpt, features_dir, AudioTeacherModel,
+                       "expected an audio-teacher checkpoint")
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     transform = make_fake_quant_transform(cfg.quant_scheme)
@@ -420,10 +426,9 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
     """Run a checkpoint over a split; write metrics.txt, roc.csv, and (for a
     student) per-example fusion attention weights."""
     out_dir = Path(out_dir)
-    model = load_model(ckpt_path)
+    model = _load_kind(ckpt_path, features_dir)
     examples = load_split_examples(cfg, features_dir, split)
-    preds, scores, labels = [], [], []
-    attention_rows = []
+    preds, scores, attention_rows = [], [], []
     for batch in make_batches(examples, cfg.batch_size):
         with no_grad():
             logits, weights = model.forward_with_attention(*model.inputs(batch))
@@ -442,14 +447,12 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
             )
         preds.append(probs.argmax(axis=1))
         scores.append(probs[:, 1])
-        labels.append(batch.labels)
     preds = np.concatenate(preds)
     scores = np.concatenate(scores)
-    labels = np.concatenate(labels)
-    report = compute_metrics(preds, labels)
+    report = compute_metrics(preds, examples.labels)
     curve = None
     try:
-        curve, auc = roc_auc(scores, labels)
+        curve, auc = roc_auc(scores, examples.labels)
         report.auc = auc
     except ValueError as err:
         logger.warning("skipping ROC: %s", err)

@@ -5,17 +5,17 @@ gives its result a ``_Node`` holding the result's shape, its parents' nodes
 and a backward closure; ``Tensor.backward()`` walks the nodes in reverse
 topological order, accumulates gradients into the leaves and frees each
 interior node's gradient once its closure has passed it on. A leaf is its
-own node. The tape keeps no op result's data: a closure captures only the
-arrays its backward reads (the operands of ``*``, ``/`` and ``@`` that a
-gradient needs, so ``x * c`` with a constant ``c`` keeps ``c`` but not
-``x``; the inputs of ``**`` and ``log``; the outputs of ``sigmoid``,
-``tanh``, ``softmax``, ``relu`` and ``clamp_min``), so any other result is
-freed as soon as the caller drops it. All math runs on
-row-major numpy float64 arrays. Operations where no operand requires
-a gradient skip the tape entirely, so inference through frozen models
-allocates no graph. Inference through trainable models runs under
-``no_grad()``, which skips the tape for every operation its thread runs until
-the block exits.
+own node, and its ``.grad`` is None until a backward reaches it. The tape
+keeps no op result's data: a closure captures only the arrays its backward
+reads (the operands of ``*``, ``/`` and ``@`` that a gradient needs, so
+``x * c`` with a constant ``c`` keeps ``c`` but not ``x``; the inputs of
+``**`` and ``log``; the outputs of ``sigmoid``, ``tanh``, ``softmax``,
+``relu`` and ``clamp_min``), so any other result is freed as soon as the
+caller drops it. All math runs on row-major numpy float64 arrays.
+Operations where no operand requires a gradient skip the tape entirely, so
+inference through frozen models allocates no graph. Inference through
+trainable models runs under ``no_grad()``, which skips the tape for every
+operation its thread runs until the block exits.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def _accum(t: "Tensor", g: np.ndarray, owned: bool = False) -> None:
         t.grad = g if own else np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
-    t._grad_seen = True
 
 
 class _GradMode(threading.local):
@@ -112,7 +111,7 @@ class _Node:
     into its result. It references no op result, so no result's data (a
     leaf parent is its own node)."""
 
-    __slots__ = ("shape", "_parents", "_backward", "grad", "_grad_seen")
+    __slots__ = ("shape", "_parents", "_backward", "grad")
 
     def __init__(self, shape, parents, backward):
         self.shape = shape
@@ -195,11 +194,12 @@ class Tensor:
     onto the add's node, so every name for it sees the sum and its history.
     Otherwise ``t += u`` builds ``t + u``. Either way it records one add node.
     Tensors built directly are never written in place (only the optimizer
-    mutates parameter values, between graph lifetimes). Gradients accumulate
-    in a leaf's ``.grad`` as plain float64 arrays of the same shape.
+    mutates parameter values, between graph lifetimes). A leaf's ``.grad``
+    is None until a backward reaches it; gradients then accumulate there in
+    one C-order float64 array of the leaf's shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_grad_seen", "_fresh", "_nd")
+    __slots__ = ("data", "grad", "requires_grad", "_fresh", "_nd")
     _parents: tuple = ()
     _backward = None
 
@@ -207,7 +207,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._grad_seen = False
         self._fresh = False
         self._nd: _Node | None = None
 
@@ -223,7 +222,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"{type(self).__name__}(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -------------------------------------------------------------- backward
 
@@ -259,7 +258,6 @@ class Tensor:
                 if p is not None and p not in visited:
                     push(p)
         root.grad = np.ones_like(self.data)
-        root._grad_seen = True
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad, *node._parents)
@@ -442,7 +440,6 @@ class Tensor:
                 if na.grad is None:
                     na.grad = np.zeros(na.shape)
                 na.grad[key] += g
-                na._grad_seen = True
         else:
             def backward(g, na):
                 buf = np.zeros(na.shape)
@@ -543,22 +540,14 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor. ``grad`` is kept allocated and zeroed."""
+    """A leaf that requires grad until frozen (or built with
+    ``trainable=False``). Like any leaf's, its ``grad`` is None until a
+    backward reaches it; optimizers reset it to None."""
 
-    __slots__ = ("trainable",)
+    __slots__ = ()
 
     def __init__(self, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
-        self.trainable = trainable
-        self.grad = np.zeros_like(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-        self._grad_seen = False
 
     def freeze(self) -> None:
-        self.trainable = False
         self.requires_grad = False
-
-    def __repr__(self) -> str:
-        return f"Parameter(shape={self.data.shape}, trainable={self.trainable})"

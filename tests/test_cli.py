@@ -10,7 +10,9 @@ import pytest
 
 from distillfuse.checkpoint import load_checkpoint, save_checkpoint
 from distillfuse.cli import main
-from distillfuse.config import parse_config_file
+from distillfuse.config import RunConfig, parse_config_file
+from distillfuse.models import TextTeacherModel
+from distillfuse.text import load_vocab
 
 
 TINY = [
@@ -164,6 +166,39 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "no_hidden.ckpt: missing meta key 'hidden_dim'" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "train-student"])
+    def test_text_checkpoint_of_another_vocabulary(self, prepared, tmp_path, capsys, command):
+        # a text teacher built on the 4 special tokens, as --min-count 30 gives
+        cfg = RunConfig(max_len=16, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                        lora_rank=2, lora_alpha=8.0)
+        ckpt = tmp_path / "small_vocab.ckpt"
+        save_checkpoint(ckpt, TextTeacherModel.build(4, cfg).to_checkpoint())
+        vocab = prepared["feats"] / "vocab.txt"
+        n = load_vocab(vocab).size
+        assert n > 4
+        flags = {"evaluate": ["--checkpoint", str(ckpt)],
+                 "train-student": ["--text-teacher-ckpt", str(ckpt),
+                                   "--audio-teacher-ckpt", str(prepared["audio_ckpt"])]}
+        out = tmp_path / "out"
+        rc = main([command, *TINY, "--features-dir", str(prepared["feats"]), *flags[command],
+                   "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if ln.startswith("error: ")] == [
+            f"error: {ckpt}: vocab_size 4 does not match the {n} tokens of {vocab}"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_checkpoint_that_is_a_directory_is_named(self, prepared, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt_dir"
+        ckpt.mkdir()
+        rc = main(["evaluate", *TINY, "--features-dir", str(prepared["feats"]),
+                   "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args, flag", [
         (["train-text-teacher"], "--features-dir"),

@@ -10,7 +10,7 @@ import pytest
 
 from distillfuse.data import (
     SPLIT_RATIOS,
-    Example,
+    Batch,
     load_dataset,
     make_batches,
     rng_for,
@@ -118,20 +118,23 @@ class TestLoadDataset:
         assert sum(sizes.values()) == 20
 
 
-def _example(pid, label, L=4, T=3, C=2):
-    rng = np.random.default_rng(pid)
-    return Example(
-        participant_id=pid,
-        token_ids=rng.integers(0, 10, size=L),
-        mask=np.ones(L),
-        mfcc=rng.normal(size=(T, C)),
-        label=label,
+def _split(labels, L=4, T=3, C=2):
+    """A stacked split with one row per label; participant i's row is drawn
+    from ``default_rng(i)``."""
+    rngs = [np.random.default_rng(pid) for pid in range(len(labels))]
+    return Batch(
+        token_ids=np.array([r.integers(0, 10, size=L) for r in rngs],
+                           dtype=np.int64).reshape(-1, L),
+        mask=np.array([(r.random(L) < 0.8).astype(np.float64) for r in rngs]).reshape(-1, L),
+        mfcc=np.array([r.normal(size=(T, C)) for r in rngs]).reshape(-1, T, C),
+        labels=np.array(labels, dtype=np.int64),
+        ids=tuple(range(len(labels))),
     )
 
 
 class TestMakeBatches:
     def test_shapes_and_remainder(self):
-        examples = [_example(i, i % 2) for i in range(7)]
+        examples = _split([i % 2 for i in range(7)])
         batches = make_batches(examples, 3)
         assert [b.labels.size for b in batches] == [3, 3, 1]
         b = batches[0]
@@ -141,12 +144,12 @@ class TestMakeBatches:
         assert b.ids == (0, 1, 2)
 
     def test_order_preserved_without_rng(self):
-        examples = [_example(i, 0) for i in range(5)]
+        examples = _split([0] * 5)
         flat = [pid for b in make_batches(examples, 2) for pid in b.ids]
         assert flat == [0, 1, 2, 3, 4]
 
     def test_shuffle_is_seeded_permutation(self):
-        examples = [_example(i, 0) for i in range(10)]
+        examples = _split([0] * 10)
         f1 = [pid for b in make_batches(examples, 4, np.random.default_rng(5))
               for pid in b.ids]
         f2 = [pid for b in make_batches(examples, 4, np.random.default_rng(5))
@@ -157,9 +160,23 @@ class TestMakeBatches:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
-            make_batches([_example(0, 0)], 0)
+            make_batches(_split([0]), 0)
         with pytest.raises(ValueError, match="no examples"):
-            make_batches([], 2)
+            make_batches(_split([]), 2)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_batches_hold_the_bytes_of_the_stacked_rows(self, seed):
+        split = _split([i % 2 for i in range(10)], L=5, T=4, C=3)
+        order = np.arange(10) if seed is None else np.random.default_rng(seed).permutation(10)
+        rng = None if seed is None else np.random.default_rng(seed)
+        for k, b in enumerate(make_batches(split, 4, rng)):
+            rows = order[4 * k : 4 * k + 4]
+            assert b.ids == tuple(int(j) for j in rows)
+            for field in ("token_ids", "mask", "mfcc", "labels"):
+                got = getattr(b, field)
+                want = np.stack([getattr(split, field)[j] for j in rows])
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 class TestSynthGenerate:

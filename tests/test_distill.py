@@ -14,13 +14,14 @@ import pytest
 from distillfuse.distill import (
     DistillConfig,
     ce_loss_tensor,
+    checked_step,
     combine_teacher_targets,
     distill_loss_tensors,
     one_hot,
     require_finite_grads,
     student_train_step,
 )
-from distillfuse.optim import SGD
+from distillfuse.optim import SGD, Adam
 from distillfuse.tensor import Parameter, Tensor, softmax_np
 
 from helpers import check_grads, cross_entropy, kl_divergence, total_loss
@@ -413,15 +414,28 @@ class TestStudentTrainStep:
                                student, DistillConfig(), opt)
 
 
+def test_checked_step_raises_when_backward_misses_a_parameter():
+    # the loss reads w but not unused: no parameter may move, w included
+    rng = np.random.default_rng(41)
+    w, unused = Parameter(rng.normal(size=(3, 2))), Parameter(rng.normal(size=2))
+    before = [w.data.tobytes(), unused.data.tobytes()]
+    for opt in (SGD([w, unused], 0.1), Adam([w, unused], 0.1)):
+        loss = ce_loss_tensor(Tensor(rng.normal(size=(4, 3))) @ w, one_hot([0, 1, 1, 0]))
+        with pytest.raises(RuntimeError, match="^qat, epoch 1, batch 2: backward did not reach"):
+            checked_step(loss, opt, "qat, epoch 1, batch 2")
+        assert opt.step_count == 0
+        assert [w.data.tobytes(), unused.data.tobytes()] == before
+
+
 def test_require_finite_grads_returns_the_global_norm():
     a, b = Parameter(np.zeros(2)), Parameter(np.zeros((1, 1)))
-    a.grad[:] = (3.0, 0.0)
-    b.grad[:] = 4.0
+    a.grad = np.array([3.0, 0.0])
+    b.grad = np.full((1, 1), 4.0)
     assert require_finite_grads([a, b], "x") == 5.0
     for bad in (np.nan, np.inf, -np.inf):
-        b.grad[:] = bad
+        b.grad = np.full((1, 1), bad)
         with pytest.raises(FloatingPointError, match="^stage y: non-finite gradient norm"):
             require_finite_grads([a, b], "stage y")
-    b.grad[:] = 1e300  # finite entries whose squares overflow
+    b.grad = np.full((1, 1), 1e300)  # finite entries whose squares overflow
     with pytest.raises(FloatingPointError, match="inf"):
         require_finite_grads([a, b], "z")

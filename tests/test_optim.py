@@ -11,9 +11,7 @@ from distillfuse.tensor import Parameter
 
 
 def _set_grad(p: Parameter, g) -> None:
-    p.zero_grad()
-    p.grad += np.asarray(g, dtype=np.float64)
-    p._grad_seen = True
+    p.grad = np.array(g, dtype=np.float64)
 
 
 def test_sgd_single_step_arithmetic():
@@ -34,11 +32,25 @@ def test_sgd_step_from_real_backward():
 
 
 def test_step_before_backward_raises():
-    p = Parameter(np.ones(2))
-    for opt in (SGD([p], 0.1), Adam([p], 0.1), AdamW([p], 0.1, weight_decay=0.1)):
-        p.zero_grad()
-        with pytest.raises(RuntimeError):
-            opt.step()
+    # no backward at all, or one that reaches p but not q: nothing may move
+    p, q = Parameter(np.ones(2)), Parameter(np.ones(2))
+    for opt in (SGD([p, q], 0.1), Adam([p, q], 0.1), AdamW([p, q], 0.1, weight_decay=0.1)):
+        for reach_p in (False, True):
+            opt.zero_grad()
+            if reach_p:
+                (p * 2.0).sum().backward()
+            with pytest.raises(RuntimeError, match="every parameter"):
+                opt.step()
+            np.testing.assert_array_equal(p.data, np.ones(2))
+
+
+def test_zero_grad_sets_every_gradient_to_none():
+    params = [Parameter(np.ones(2)), Parameter(np.ones((2, 3)))]
+    opt = Adam(params, 0.1)
+    (params[0].sum() + params[1].sum()).backward()
+    assert all(p.grad is not None for p in params)
+    opt.zero_grad()
+    assert all(p.grad is None for p in params)
 
 
 def test_lr_must_be_positive():

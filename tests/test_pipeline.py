@@ -253,18 +253,17 @@ class TestLoadSplitExamples:
         labels = {e.participant_id: e.label for e in workspace.manifest.entries}
         for split in ("train", "validation", "test"):
             examples = load_split_examples(cfg, workspace.features, split)
-            assert len(examples) == len(_split_ids(workspace.manifest, split))
-            for ex in examples:
-                assert ex.token_ids.shape == (cfg.max_len,)
-                assert ex.mask.shape == (cfg.max_len,)
-                assert ex.mfcc.shape == (cfg.target_frames, cfg.n_coeffs)
-                assert ex.label == labels[ex.participant_id]
+            n = len(_split_ids(workspace.manifest, split))
+            assert len(examples.ids) == n
+            assert examples.token_ids.shape == (n, cfg.max_len)
+            assert examples.mask.shape == (n, cfg.max_len)
+            assert examples.mfcc.shape == (n, cfg.target_frames, cfg.n_coeffs)
+            assert examples.labels.tolist() == [labels[pid] for pid in examples.ids]
 
     def test_split_partition_is_disjoint_and_complete(self, workspace):
         seen = []
         for split in ("train", "validation", "test"):
-            seen += [ex.participant_id
-                     for ex in load_split_examples(workspace.cfg, workspace.features, split)]
+            seen += load_split_examples(workspace.cfg, workspace.features, split).ids
         assert sorted(seen) == sorted(e.participant_id for e in workspace.manifest.entries)
 
     def test_unknown_split_empty(self, workspace):
@@ -406,7 +405,7 @@ class TestStudentTraining:
 
         monkeypatch.setattr(pipeline, "student_train_step", recording)
         train_student(cfg, workspace.features, text_ckpt, audio_ckpt, tmp_path)
-        n_train = len(load_split_examples(cfg, workspace.features, "train"))
+        n_train = len(load_split_examples(cfg, workspace.features, "train").ids)
         assert n_train % cfg.batch_size == 1  # a one-row batch, scored alone
         assert rows == {TextTeacherModel: n_train, AudioTeacherModel: n_train}
         assert len(steps) == 3 * -(-n_train // cfg.batch_size)
@@ -670,10 +669,11 @@ class TestEvaluateModel:
         model = StudentModel.build(vocab_size, cfg)
         hits = n = 0
         for split in ("train", "validation", "test"):
-            for ex in load_split_examples(cfg, workspace.features, split):
-                p = model.predict_probs(ex.token_ids[None], ex.mask[None],
-                                        ex.mfcc[None])
-                hits += int(p.argmax(axis=1)[0] == ex.label)
+            ex = load_split_examples(cfg, workspace.features, split)
+            for i, label in enumerate(ex.labels):
+                p = model.predict_probs(ex.token_ids[i][None], ex.mask[i][None],
+                                        ex.mfcc[i][None])
+                hits += int(p.argmax(axis=1)[0] == label)
                 n += 1
         assert 0.35 <= hits / n <= 0.65
 
@@ -701,7 +701,7 @@ class TestEvaluateModel:
         student = StudentModel.build(load_vocab(workspace.features / "vocab.txt").size, cfg)
         params = student.trainable_parameters()
         for i, p in enumerate(params):
-            p.grad[...] = i + 0.5
+            p.grad = np.full(p.shape, i + 0.5)
         made = []
         make = tensor._make
 

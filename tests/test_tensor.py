@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from distillfuse import tensor
+from distillfuse.optim import SGD
 from distillfuse.tensor import (
     DomainError,
     Parameter,
@@ -320,7 +321,7 @@ def test_backward_frees_interior_grads_and_keeps_leaf_grads():
     w = Parameter(rng.normal(size=(4, 3)))
     frozen = Tensor(rng.normal(size=(2, 3)))
     off_graph = Parameter(rng.normal(size=3))
-    off_graph.grad += 7.0
+    off_graph.grad = np.full(3, 7.0)
     loss = (((x @ w).tanh() * frozen).sum(axis=1) ** 2.0).mean()
     nodes, stack = set(), [tape_node(loss)]
     while stack:
@@ -766,18 +767,18 @@ def test_a_leaf_is_its_own_node_without_referencing_itself():
 # ------------------------------------------------------- Parameter
 
 
-def test_parameter_trainable_with_preallocated_grad():
+def test_parameter_requires_grad_and_starts_without_grad():
     p = Parameter(np.zeros((2, 2)))
-    assert p.requires_grad and p.trainable
-    assert p.grad is not None and p.grad.shape == (2, 2)
+    assert p.requires_grad and p.grad is None
+    assert not Parameter(np.zeros(2), trainable=False).requires_grad
 
 
 def test_parameter_zero_grad_resets():
     p = Parameter(np.ones(3))
     (p * 2.0).sum().backward()
     np.testing.assert_array_equal(p.grad, 2.0 * np.ones(3))
-    p.zero_grad()
-    np.testing.assert_array_equal(p.grad, np.zeros(3))
+    SGD([p], 0.1).zero_grad()
+    assert p.grad is None
 
 
 def test_parameter_freeze_stops_gradients():
@@ -785,7 +786,7 @@ def test_parameter_freeze_stops_gradients():
     p.freeze()
     out = (p * 2.0).sum()
     assert not out.requires_grad
-    assert not p.trainable
+    assert not p.requires_grad
 
 
 def test_rel_err_helper_is_scale_aware():
