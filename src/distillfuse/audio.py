@@ -310,6 +310,8 @@ def read_wav(path) -> WaveForm:
             raw = f.readframes(f.getnframes())
     except (wave.Error, EOFError) as err:
         raise ValueError(f"{path}: not a readable WAV file ({err!r})") from None
+    if not raw:
+        raise ValueError(f"{path}: WAV file holds no samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return WaveForm(samples, rate)
 

@@ -58,7 +58,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     Tensors or all arrays."""
     out = x @ w.transpose(1, 0)
     if b is not None:
-        out += b  # in place into the fresh product, Tensor or array
+        out += b  # in place on an array
     return out
 
 

@@ -131,6 +131,9 @@ def _audio_features(cfg: RunConfig, wav_path) -> FeatureSequence:
     )
     if voiced.size < cfg.n_fft:  # too little voiced audio: fall back to the clip
         voiced = w.samples
+        if voiced.size < cfg.n_fft:
+            raise ValueError(f"{wav_path}: {voiced.size} samples after resampling to "
+                             f"{w.sample_rate} Hz are shorter than one window ({cfg.n_fft})")
     mfcc_cfg = MfccConfig(cfg.n_fft, cfg.hop, cfg.n_mels, cfg.n_coeffs, cfg.fmin, cfg.fmax)
     return mfcc_extract(type(w)(voiced, w.sample_rate), mfcc_cfg)
 
@@ -352,6 +355,7 @@ class _TeacherRows:
 def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) -> Path:
     """Distill both frozen teachers into the fused student."""
     out_dir = Path(out_dir)
+    dcfg = DistillConfig(cfg.alpha, cfg.teacher_mix_beta, cfg.temperature)
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     expected = "teacher checkpoints must be a text teacher and an audio teacher"
@@ -362,7 +366,6 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     tables = [_split_probs(t, train, cfg.batch_size, cfg.temperature)
               for t in (text_teacher, audio_teacher)]
     student = StudentModel.build(_vocab_size(features_dir), cfg)
-    dcfg = DistillConfig(cfg.alpha, cfg.teacher_mix_beta, cfg.temperature)
     opt = make_optimizer(cfg.optimizer_student, student.trainable_parameters(),
                          cfg.lr_student, cfg.weight_decay)
 

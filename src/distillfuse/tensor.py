@@ -122,7 +122,6 @@ class _Node:
 
 def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
     out = Tensor(data)
-    out._fresh = True
     if _grad_mode.enabled:
         # a plain loop: this runs once per op, and a comprehension costs more
         nodes = []
@@ -139,35 +138,12 @@ def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor"
     return out
 
 
-def _keep(t: "Tensor") -> "Tensor":
-    """``t``, marked so that ``+=`` never writes its buffer. A view op marks
-    both its operand and its result, which may share one buffer."""
-    t._fresh = False
-    return t
-
-
-def _save(t: "Tensor") -> np.ndarray:
-    """``t.data``, for a backward closure to read, with ``t`` marked as
-    ``_keep`` marks it: the one way an op saves an array, so ``+=`` can
-    never overwrite a saved buffer."""
-    t._fresh = False
-    return t.data
-
-
 def _add_backward(g, a, b):
-    """The backward of ``a + b``, in place or not: it reads only shapes."""
+    """The backward of ``a + b``: it reads only shapes."""
     if a is not None:
         _accum(a, _unbroadcast(g, a.shape))
     if b is not None:
         _accum(b, _unbroadcast(g, b.shape))
-
-
-def _fits(shape: tuple[int, ...], into: tuple[int, ...]) -> bool:
-    """True when ``shape`` broadcasts to exactly ``into``."""
-    try:
-        return shape == into or np.broadcast_shapes(shape, into) == into
-    except ValueError:
-        return False
 
 
 def _bcast_check(a: "Tensor", b: "Tensor", opname: str) -> None:
@@ -188,18 +164,15 @@ class Tensor:
     directly, ``Parameter``s included, or an untaped result) has none and is
     its own node, with no parents and no backward.
 
-    ``t += u`` adds into ``t``'s buffer, as numpy does, when ``t`` is an op's
-    result that no backward reads and no view shares (``_fresh``), and ``u``
-    broadcasts to ``t``'s shape. ``t`` then stays the same object and moves
-    onto the add's node, so every name for it sees the sum and its history.
-    Otherwise ``t += u`` builds ``t + u``. Either way it records one add node.
-    Tensors built directly are never written in place (only the optimizer
-    mutates parameter values, between graph lifetimes). A leaf's ``.grad``
+    ``t += u`` is Python's default ``t = t + u``: it rebinds ``t`` to a new
+    result with one add node and never writes into a tensor, so any other
+    name for the old ``t`` keeps its values and history. Only the optimizer
+    mutates parameter values, between graph lifetimes. A leaf's ``.grad``
     is None until a backward reaches it; gradients then accumulate there in
     one C-order float64 array of the leaf's shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_fresh", "_nd")
+    __slots__ = ("data", "grad", "requires_grad", "_nd")
     _parents: tuple = ()
     _backward = None
 
@@ -207,7 +180,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._fresh = False
         self._nd: _Node | None = None
 
     # ------------------------------------------------------------------ misc
@@ -272,15 +244,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __iadd__(self, other) -> "Tensor":
-        other = _as_tensor(other)
-        if not (self._fresh and _fits(other.data.shape, self.data.shape)):
-            return self + other
-        np.add(self.data, other.data, out=self.data)
-        out = _make(self.data, (self, other), _add_backward)
-        self.requires_grad, self._nd = out.requires_grad, out._nd
-        return self
-
     def __sub__(self, other) -> "Tensor":
         other = _as_tensor(other)
         _bcast_check(self, other, "sub")
@@ -298,8 +261,8 @@ class Tensor:
         other = _as_tensor(other)
         _bcast_check(self, other, "mul")
         out = self.data * other.data
-        a = _save(self) if other.requires_grad else None
-        b = _save(other) if self.requires_grad else None
+        a = self.data if other.requires_grad else None
+        b = other.data if self.requires_grad else None
 
         def backward(g, na, nb):
             if na is not None:
@@ -315,8 +278,8 @@ class Tensor:
         other = _as_tensor(other)
         _bcast_check(self, other, "div")
         out = self.data / other.data
-        a = _save(self) if other.requires_grad else None
-        b = _save(other)
+        a = self.data if other.requires_grad else None
+        b = other.data
 
         def backward(g, na, nb):
             if na is not None:
@@ -333,7 +296,7 @@ class Tensor:
         p = float(exponent)
         if p != int(p) and np.any(self.data < 0.0):
             raise DomainError(f"pow: negative base with non-integer exponent {p}")
-        a = _save(self)
+        a = self.data
         return _make(a**p, (self,), lambda g, na: _accum(na, g * p * a ** (p - 1.0), owned=True))
 
     def __matmul__(self, other) -> "Tensor":
@@ -351,8 +314,8 @@ class Tensor:
                     f"matmul: batch dimensions do not broadcast, {a.shape} @ {b.shape}"
                 ) from None
         out = a @ b
-        a = _save(self) if other.requires_grad else None
-        b = _save(other) if self.requires_grad else None
+        a = self.data if other.requires_grad else None
+        b = other.data if self.requires_grad else None
 
         def backward(g, na, nb):
             if na is not None:
@@ -363,35 +326,26 @@ class Tensor:
         return _make(out, (self, other), backward)
 
     # ------------------------------------------------------------ activations
-    # An op whose backward reads its output (here and in ``softmax`` and
-    # ``clamp_min``) saves it once ``_make`` has built it, as ``y``; the
-    # closure looks ``y`` up when backward runs.
 
     def log(self) -> "Tensor":
         if np.any(self.data <= 0.0):
             raise DomainError("log: non-positive input value")
-        a = _save(self)
+        a = self.data
         return _make(np.log(a), (self,), lambda g, na: _accum(na, g / a, owned=True))
 
     def sigmoid(self) -> "Tensor":
         # 0.5 * (1 + tanh(x / 2)) is overflow-free for any float64 input
-        out = _make(0.5 * (1.0 + np.tanh(0.5 * self.data)), (self,),
-                    lambda g, na: _accum(na, g * y * (1.0 - y), owned=True))
-        y = _save(out)
-        return out
+        y = 0.5 * (1.0 + np.tanh(0.5 * self.data))
+        return _make(y, (self,), lambda g, na: _accum(na, g * y * (1.0 - y), owned=True))
 
     def tanh(self) -> "Tensor":
-        out = _make(np.tanh(self.data), (self,),
-                    lambda g, na: _accum(na, g * (1.0 - y * y), owned=True))
-        y = _save(out)
-        return out
+        y = np.tanh(self.data)
+        return _make(y, (self,), lambda g, na: _accum(na, g * (1.0 - y * y), owned=True))
 
     def relu(self) -> "Tensor":
         # max(x, 0) > 0 exactly where x > 0, NaN included
-        out = _make(np.maximum(self.data, 0.0), (self,),
-                    lambda g, na: _accum(na, g * (y > 0.0), owned=True))
-        y = _save(out)
-        return out
+        y = np.maximum(self.data, 0.0)
+        return _make(y, (self,), lambda g, na: _accum(na, g * (y > 0.0), owned=True))
 
     # ------------------------------------------------------------ reductions
 
@@ -422,14 +376,14 @@ class Tensor:
 
     def reshape(self, *shape) -> "Tensor":
         out = self.data.reshape(shape)
-        return _keep(_make(out, (_keep(self),), lambda g, na: _accum(na, g.reshape(na.shape))))
+        return _make(out, (self,), lambda g, na: _accum(na, g.reshape(na.shape)))
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(range(self.data.ndim))[::-1]
         out = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
-        return _keep(_make(out, (_keep(self),), lambda g, na: _accum(na, g.transpose(inverse))))
+        return _make(out, (self,), lambda g, na: _accum(na, g.transpose(inverse)))
 
     def __getitem__(self, key) -> "Tensor":
         out = self.data[key]
@@ -446,7 +400,7 @@ class Tensor:
                 np.add.at(buf, key, g)
                 _accum(na, buf, owned=True)
 
-        return _keep(_make(np.asarray(out), (_keep(self),), backward))
+        return _make(np.asarray(out), (self,), backward)
 
 
 def _is_basic_key(key) -> bool:
@@ -495,17 +449,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(na, y * (g - dot), owned=True)
 
-    out = _make(softmax_np(x.data, axis), (x,), backward)
-    y = _save(out)
-    return out
+    y = softmax_np(x.data, axis)
+    return _make(y, (x,), backward)
 
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
     """Elementwise max(x, lo); gradient passes only where x was not clamped
     (max(x, lo) > lo exactly where x > lo, NaN included)."""
-    out = _make(np.maximum(x.data, lo), (x,), lambda g, na: _accum(na, g * (y > lo), owned=True))
-    y = _save(out)
-    return out
+    y = np.maximum(x.data, lo)
+    return _make(y, (x,), lambda g, na: _accum(na, g * (y > lo), owned=True))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

@@ -4,6 +4,7 @@ code 1, config-file/flag precedence, and the resolved-config artifact.
 """
 
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from distillfuse.checkpoint import load_checkpoint, save_checkpoint
 from distillfuse.cli import main
 from distillfuse.config import RunConfig, parse_config_file
-from distillfuse.models import TextTeacherModel
+from distillfuse.models import AudioTeacherModel, TextTeacherModel
 from distillfuse.text import load_vocab
 
 
@@ -189,6 +190,23 @@ class TestErrorPaths:
             f"error: {ckpt}: vocab_size 4 does not match the {n} tokens of {vocab}"]
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_bad_distillation_option_fails_before_any_teacher_runs(self, prepared, tmp_path,
+                                                                   monkeypatch, capsys):
+        calls = []
+        for model in (TextTeacherModel, AudioTeacherModel):
+            monkeypatch.setattr(model, "predict_probs", lambda *args, _f=model.predict_probs,
+                                **kw: calls.append(1) or _f(*args, **kw))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["train-student", *TINY, "--features-dir", str(prepared["feats"]),
+                       "--text-teacher-ckpt", str(prepared["text_ckpt"]),
+                       "--audio-teacher-ckpt", str(prepared["audio_ckpt"]),
+                       "--temperature", "0", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: temperature must be positive, got 0.0\n"
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+        assert calls == []
 
     def test_checkpoint_that_is_a_directory_is_named(self, prepared, tmp_path, capsys):
         ckpt = tmp_path / "ckpt_dir"

@@ -6,6 +6,7 @@ evaluation artifacts, the ablation grid, and the single-command full run.
 import dataclasses
 import re
 import types
+import wave
 
 import numpy as np
 import pytest
@@ -164,6 +165,25 @@ class TestPreprocess:
             assert (feats1 / p.name).read_bytes() == p.read_bytes(), p.name
         assert ((feats1 / "vocab.txt").read_bytes()
                 == (workspace.features / "vocab.txt").read_bytes())
+
+    @pytest.mark.parametrize("n_samples, match", [
+        (100, r"200 samples after resampling to 16000 Hz are shorter than one window \(512\)"),
+        (0, "WAV file holds no samples"),
+    ], ids=["too-short", "empty"])
+    def test_short_or_empty_wav_names_the_file(self, workspace, tmp_path, n_samples, match):
+        import shutil
+
+        data2 = tmp_path / "data2"
+        shutil.copytree(workspace.data, data2)
+        wav = data2 / f"{workspace.manifest.entries[0].participant_id}_AUDIO.wav"
+        with wave.open(str(wav), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(workspace.cfg.synth_sample_rate)
+            f.writeframes(np.full(n_samples, 3000, dtype="<i2").tobytes())
+        with pytest.raises(ValueError, match=match) as err:
+            preprocess(workspace.cfg, data2, tmp_path / "features2")
+        assert str(err.value).count(str(wav)) == 1
 
 
 class _FakeBlas:

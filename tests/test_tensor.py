@@ -3,6 +3,7 @@ shape/domain error contracts and graph-traversal behavior."""
 
 import gc
 import inspect
+import operator
 import threading
 import weakref
 
@@ -408,12 +409,12 @@ def test_matmul_batch_shapes_that_broadcast(a, b, want):
 
 @pytest.mark.parametrize("op", ["__add__", "__iadd__", "__sub__", "__mul__", "__truediv__"])
 def test_elementwise_shape_mismatch(op):
-    # the left operand is an op's result, so += may take its in-place path
+    fn = getattr(operator, op.strip("_"))
     for a, b in [((2, 3), (3, 2)), ((4,), (5,)), ((2, 3, 4), (2, 1))]:
         with pytest.raises(ShapeError, match="do not broadcast"):
-            getattr(Tensor(np.ones(a)) + 0.0, op)(Tensor(np.ones(b)))
+            fn(Tensor(np.ones(a)) + 0.0, Tensor(np.ones(b)))
     for a, b in [((2, 3), (2, 3)), ((2, 3), (3,)), ((2, 1), (1, 4)), ((), (2, 2))]:
-        out = getattr(Tensor(np.ones(a)) + 0.0, op)(Tensor(np.ones(b)))
+        out = fn(Tensor(np.ones(a)) + 0.0, Tensor(np.ones(b)))
         assert out.data.shape == np.broadcast_shapes(a, b)
 
 
@@ -574,21 +575,16 @@ def test_grad_accumulates_across_backwards():
     assert x.grad == pytest.approx(4.0)
 
 
-# ------------------------------------------------------- in-place +=
+# ------------------------------------------------------- +=
 
 
-def _iadd(a, b):
-    a += b
-    return a
-
-
-# (public op, forward over fresh operands, operand shapes). Every public op
-# is named, so one that lets ``+=`` overwrite a buffer its backward reads, or
-# that a view shares, fails test_inplace_add_matches_out_of_place.
+# (public op, forward over fresh operands, operand shapes). ``t += u`` rebinds
+# ``t`` to ``t + u``. Every public op is named, so an in-place ``+=`` that
+# overwrote a buffer a backward reads, or that a view shares, would fail
+# test_inplace_add_matches_out_of_place.
 _OPS = [
     ("__add__", lambda a, b: a + b, [(2, 3), (2, 3)]),
     ("__radd__", lambda a: 2.0 + a, [(2, 3)]),
-    ("__iadd__", lambda a, b: _iadd(a + 0.0, b), [(2, 3), (3,)]),
     ("__sub__", lambda a, b: a - b, [(2, 3), (3,)]),
     ("__mul__", lambda a, b: a * b, [(2, 3), (3,)]),
     ("__rmul__", lambda a: 2.0 * a, [(2, 3)]),
@@ -621,10 +617,10 @@ def test_inplace_table_names_every_public_op():
 
 
 def _inplace_case(fn, shapes, target, in_place: bool):
-    """Record ``fn`` over fresh results of leaves, then add a leaf into
+    """Record ``fn`` over fresh results of leaves, then add a leaf to
     operand ``target`` (an index) or the output (``"out"``), with ``+=`` or
-    out of place. Returns the values of every tensor left standing and the
-    gradients of every leaf."""
+    ``+``. Returns the values of every tensor and the gradients of every
+    leaf."""
     rng = np.random.default_rng(0)
     leaves = [Tensor(rng.uniform(0.5, 2.0, s), requires_grad=True) for s in shapes]
     operands = [leaf + 0.0 for leaf in leaves]
@@ -636,8 +632,7 @@ def _inplace_case(fn, shapes, target, in_place: bool):
         new += c
     else:
         new = t + c
-    # the target's own buffer may hold the sum; everything else must not change
-    standing = [v for v in [*operands, out] if v is not t] + [new]
+    standing = [*operands, out, new]  # the target included: += must not change it
     sum((v * rng.normal(size=v.shape)).sum() for v in standing).backward()
     return [v.data.copy() for v in standing], [leaf.grad for leaf in [*leaves, c]]
 
@@ -651,19 +646,6 @@ def test_inplace_add_matches_out_of_place(name, fn, shapes):
             np.testing.assert_array_equal(got, want, err_msg=f"{name}, target {target}")
 
 
-def test_inplace_add_on_a_fresh_result_reuses_its_buffer(monkeypatch):
-    x = Tensor(np.ones((2, 3)), requires_grad=True)
-    y = x @ Tensor(np.ones((3, 4)))
-    buf = y.data
-    made = []
-    make = tensor._make
-    monkeypatch.setattr(tensor, "_make", lambda *args: made.append(1) or make(*args))
-    y += Tensor(np.arange(4.0), requires_grad=True)
-    assert np.shares_memory(y.data, buf)
-    assert made == [1]
-    np.testing.assert_array_equal(y.data, np.broadcast_to(3.0 + np.arange(4.0), (2, 4)))
-
-
 def _view_of_a_result():
     base = Tensor(np.ones((2, 3)), requires_grad=True) * 2.0
     return base.reshape(3, 2)
@@ -674,7 +656,8 @@ def _view_of_a_result():
     (lambda: Tensor(np.ones((2, 3)), requires_grad=True), np.ones(3)),
     (_view_of_a_result, np.ones(2)),
     (lambda: Tensor(np.ones(3), requires_grad=True) * 2.0, np.ones((2, 3))),
-], ids=["parameter", "user-tensor", "view", "result-larger-than-self"])
+    (lambda: Tensor(np.ones((2, 3)), requires_grad=True) * 2.0, np.ones(3)),
+], ids=["parameter", "user-tensor", "view", "result-larger-than-self", "fresh-result"])
 def test_inplace_add_never_overwrites(make_self, other):
     p = make_self()
     orig, before = p, p.data.copy()
@@ -684,28 +667,21 @@ def test_inplace_add_never_overwrites(make_self, other):
     np.testing.assert_array_equal(p.data, before + other)
 
 
-def test_inplace_add_gives_every_name_the_sum_and_its_history():
-    y = Tensor(np.ones(3), requires_grad=True) * 2.0
-    buf = y.data
-    r = y
-    r += 1.0  # in place: r is still y, which sees the sum, as in numpy
-    assert r is y
-    y += 1.0  # and again, into the same buffer
-    assert r is y and r.data is buf
-    np.testing.assert_array_equal(r.data, [4.0, 4.0, 4.0])
-
-
-def test_inplace_add_through_another_name_reaches_the_addend():
+def test_add_assign_rebinds_and_leaves_the_other_name_alone():
     x = Tensor(np.ones(3), requires_grad=True)
     c = Tensor(np.arange(3.0), requires_grad=True)
-    w = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    w = np.array([1.0, 2.0, 3.0])
     y = x * 2.0
     r = y
     r += c
-    (y * w).sum().backward()
-    np.testing.assert_array_equal(c.grad, w.data)
-    np.testing.assert_array_equal(x.grad, 2.0 * w.data)
-    np.testing.assert_array_equal(w.grad, 2.0 + np.arange(3.0))
+    assert r is not y
+    np.testing.assert_array_equal(y.data, [2.0, 2.0, 2.0])
+    (y * w).sum().backward()  # y's history stops at x
+    assert c.grad is None
+    np.testing.assert_array_equal(x.grad, 2.0 * w)
+    (r * w).sum().backward()
+    np.testing.assert_array_equal(c.grad, w)
+    np.testing.assert_array_equal(x.grad, 4.0 * w)
 
 
 # ------------------------------------------------------- what the tape keeps
