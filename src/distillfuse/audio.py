@@ -19,8 +19,6 @@ import numpy as np
 from .files import atomic_write
 
 __all__ = [
-    "FeatureSequence",
-    "FirFilter",
     "MfccConfig",
     "VadConfig",
     "WaveForm",
@@ -75,23 +73,9 @@ def resample(w: WaveForm, target_rate: int) -> WaveForm:
     return WaveForm(np.interp(t_out, t_in, w.samples), target_rate)
 
 
-@dataclass
-class FirFilter:
-    """Linear-phase FIR low-pass: odd-length symmetric taps, unity DC gain."""
-
-    coefficients: np.ndarray
-    cutoff_hz: float
-    sample_rate: int
-    design: str = "hamming"
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.size % 2 == 0:
-            raise ValueError(f"tap count must be odd, got {self.coefficients.size}")
-
-
-def design_lowpass_fir(cutoff_hz: float, sample_rate: int, taps: int = 101) -> FirFilter:
-    """Hamming-windowed sinc low-pass, normalized to unity gain at DC."""
+def design_lowpass_fir(cutoff_hz: float, sample_rate: int, taps: int = 101) -> np.ndarray:
+    """The ``taps`` coefficients of a Hamming-windowed sinc low-pass, normalized
+    to unity gain at DC."""
     if taps < 3 or taps % 2 == 0:
         raise ValueError(f"taps must be an odd integer >= 3, got {taps}")
     nyquist = sample_rate / 2.0
@@ -104,18 +88,13 @@ def design_lowpass_fir(cutoff_hz: float, sample_rate: int, taps: int = 101) -> F
     h = 2.0 * fc * np.sinc(2.0 * fc * m)  # np.sinc(x) = sin(pi x) / (pi x)
     h *= np.hamming(taps)
     h /= h.sum()
-    return FirFilter(h, cutoff_hz, sample_rate)
+    return h
 
 
 def lowpass_filter(w: WaveForm, cutoff_hz: float, taps: int = 101) -> WaveForm:
     """Apply a freshly designed low-pass by direct 'same'-mode convolution."""
-    fir = design_lowpass_fir(cutoff_hz, w.sample_rate, taps)
-    return apply_fir(w, fir)
-
-
-def apply_fir(w: WaveForm, fir: FirFilter) -> WaveForm:
-    out = np.convolve(w.samples, fir.coefficients, mode="same")
-    return WaveForm(out, w.sample_rate)
+    h = design_lowpass_fir(cutoff_hz, w.sample_rate, taps)
+    return WaveForm(np.convolve(w.samples, h, mode="same"), w.sample_rate)
 
 
 @dataclass
@@ -177,7 +156,7 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MfccConfig:
     n_fft: int = 512
     hop: int = 160
@@ -198,48 +177,28 @@ class MfccConfig:
             raise ValueError(f"log_floor must be positive, got {self.log_floor}")
 
 
-@dataclass
-class FeatureSequence:
-    """An (n_frames, n_coeffs) float64 feature matrix."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2:
-            raise ValueError(f"frames must be 2-d, got shape {self.frames.shape}")
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # The cached arrays are shared by every caller.
+    a.flags.writeable = False
+    return a
 
 
+@functools.lru_cache(maxsize=32)
 def mel_filterbank(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
     """Triangular mel filters evaluated at the rfft bin centers.
 
     Returns a read-only (n_mels, n_fft // 2 + 1) weight matrix; triangle j
     rises from mel point j to j+1 and falls to j+2, with the n_mels + 2 points
     spaced uniformly in mel between fmin and fmax. Built once per distinct
-    (n_fft, n_mels, fmin, fmax, sample_rate).
+    (cfg, sample_rate).
     """
     if cfg.fmax > sample_rate / 2.0:
         raise ValueError(f"fmax {cfg.fmax} exceeds Nyquist {sample_rate / 2.0}")
-    return _mel_filterbank(cfg.n_fft, cfg.n_mels, cfg.fmin, cfg.fmax, sample_rate)
-
-
-# MfccConfig is an unhashable dataclass, so the caches key on its fields. The
-# arrays are shared by every caller and are therefore returned read-only.
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=32)
-def _mel_filterbank(n_fft: int, n_mels: int, fmin: float, fmax: float,
-                    sample_rate: int) -> np.ndarray:
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+    mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    fb = np.zeros((n_mels, bin_freqs.size))
-    for j in range(n_mels):
+    bin_freqs = np.arange(cfg.n_fft // 2 + 1) * sample_rate / cfg.n_fft
+    fb = np.zeros((cfg.n_mels, bin_freqs.size))
+    for j in range(cfg.n_mels):
         left, center, right = hz_points[j], hz_points[j + 1], hz_points[j + 2]
         up = (bin_freqs - left) / (center - left)
         down = (right - bin_freqs) / (right - center)
@@ -263,11 +222,12 @@ def _hamming(n: int) -> np.ndarray:
     return _read_only(np.hamming(n))
 
 
-def mfcc_extract(w: WaveForm, cfg: MfccConfig | None = None) -> FeatureSequence:
+def mfcc_extract(w: WaveForm, cfg: MfccConfig | None = None) -> np.ndarray:
     """MFCCs: Hamming-windowed frames -> magnitude rfft -> mel filterbank ->
     log (floored) -> orthonormal DCT-II keeping the first n_coeffs.
 
-    Frames are full windows only: n_frames = 1 + (n - n_fft) // hop.
+    Returns the C-contiguous (n_frames, n_coeffs) float64 frames, full
+    windows only: n_frames = 1 + (n - n_fft) // hop.
     """
     cfg = cfg or MfccConfig()
     n = w.samples.size
@@ -279,19 +239,20 @@ def mfcc_extract(w: WaveForm, cfg: MfccConfig | None = None) -> FeatureSequence:
     energies = mag @ fb.T
     log_e = np.log(np.maximum(energies, cfg.log_floor))
     dct = _dct_ii_matrix(cfg.n_coeffs, cfg.n_mels)
-    return FeatureSequence(np.ascontiguousarray(log_e @ dct.T))
+    return np.ascontiguousarray(log_e @ dct.T)
 
 
-def fix_length(seq: FeatureSequence, target_frames: int = 60) -> FeatureSequence:
-    """Keep the first target_frames frames; zero-pad at the end if short."""
+def fix_length(frames: np.ndarray, target_frames: int = 60) -> np.ndarray:
+    """A new (target_frames, n_coeffs) array: the first target_frames rows of
+    the 2-d ``frames``, zero-padded at the end if short."""
     if target_frames <= 0:
         raise ValueError(f"target_frames must be positive, got {target_frames}")
-    t, c = seq.frames.shape
+    t, c = frames.shape
     if t >= target_frames:
-        return FeatureSequence(seq.frames[:target_frames].copy())
+        return frames[:target_frames].copy()
     out = np.zeros((target_frames, c))
-    out[:t] = seq.frames
-    return FeatureSequence(out)
+    out[:t] = frames
+    return out
 
 
 # ---------------------------------------------------------------- file I/O
@@ -325,14 +286,20 @@ def write_wav(path, w: WaveForm) -> None:
                                    b"data", len(data)) + data)
 
 
-def save_features(path, seq: FeatureSequence) -> None:
-    """Write the binary feature file: magic, version, T, n_coeffs, float64 LE."""
-    t, c = seq.frames.shape
+def save_features(path, frames: np.ndarray) -> None:
+    """Write the (T, n_coeffs) ``frames`` as the binary feature file: magic,
+    version, T, n_coeffs, float64 LE. Frames not 2-d raise ValueError."""
+    frames = np.asarray(frames)
+    if frames.ndim != 2:
+        raise ValueError(f"frames must be 2-d, got shape {frames.shape}")
+    t, c = frames.shape
     atomic_write(path, FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, c)
-                 + np.ascontiguousarray(seq.frames, dtype="<f8").tobytes())
+                 + np.ascontiguousarray(frames, dtype="<f8").tobytes())
 
 
-def load_features(path) -> FeatureSequence:
+def load_features(path) -> np.ndarray:
+    """The (T, n_coeffs) float64 frames of a file ``save_features`` wrote. A
+    bad magic, version or length raises ValueError naming the file."""
     blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise ValueError(f"{path}: bad feature-file magic {blob[:4]!r}")
@@ -344,5 +311,4 @@ def load_features(path) -> FeatureSequence:
     expected = 16 + 8 * t * c
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    frames = np.frombuffer(blob, dtype="<f8", offset=16).reshape(t, c).copy()
-    return FeatureSequence(frames)
+    return np.frombuffer(blob, dtype="<f8", offset=16).reshape(t, c).copy()

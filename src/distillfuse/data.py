@@ -33,11 +33,13 @@ __all__ = [
     "ManifestEntry",
     "load_dataset",
     "make_batches",
+    "read_participant_table",
     "rng_for",
     "synth_generate",
 ]
 
 LABELS_HEADER = "Participant_ID,PHQ8_Binary"
+SPLIT_NAMES = ("train", "validation", "test")
 SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
 
@@ -60,28 +62,41 @@ class DatasetManifest:
     split_of: dict[int, str]
 
 
-def _read_labels(path: Path) -> dict[int, int]:
+def read_participant_table(path, header: str, names: tuple[str, ...] = ()) -> list[tuple]:
+    """The ``(pid, label, *rest)`` rows under a comma-separated ``header``: an
+    int id, a 0/1 label, then strings, each one of ``names`` when given. A bad
+    row raises ValueError naming the file and the line; a bad header, the file."""
+    columns = header.split(",")
     with open(path, encoding="utf-8") as f:
         lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
-    if not lines or lines[0][1] != LABELS_HEADER:
-        raise ValueError(f"{path}: expected header '{LABELS_HEADER}'")
-    labels: dict[int, int] = {}
-    first: dict[int, int] = {}
+    if not lines or lines[0][1] != header:
+        raise ValueError(f"{path}: expected header '{header}'")
+    out, first = [], {}
     for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path} line {lineno}: expected 2 comma-separated fields")
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields {header}, "
+                             f"got {len(fields)}")
+        pid, label, *rest = fields
         try:
-            pid, label = int(parts[0]), int(parts[1])
+            pid = int(pid)
         except ValueError:
-            raise ValueError(f"{path} line {lineno}: non-integer field") from None
-        if label not in (0, 1):
-            raise ValueError(f"{path} line {lineno}: label must be 0 or 1, got {label}")
+            raise ValueError(f"{path}:{lineno}: {columns[0]} {pid!r} is not an integer") from None
+        try:
+            value = int(label)
+        except ValueError:
+            value = None
+        if value not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: {columns[1]} {label!r} is not 0 or 1")
+        for column, name in zip(columns[2:], rest):
+            if names and name not in names:
+                raise ValueError(f"{path}:{lineno}: {column} {name!r} is not "
+                                 f"{', '.join(names[:-1])} or {names[-1]}")
         if pid in first:
-            raise ValueError(f"{path} line {lineno}: participant {pid} already on line {first[pid]}")
+            raise ValueError(f"{path}:{lineno}: {columns[0]} {pid} already on line {first[pid]}")
         first[pid] = lineno
-        labels[pid] = label
-    return labels
+        out.append((pid, value, *rest))
+    return out
 
 
 def load_dataset(data_dir, seed: int = 0) -> DatasetManifest:
@@ -95,7 +110,7 @@ def load_dataset(data_dir, seed: int = 0) -> DatasetManifest:
     labels_path = data_dir / "labels.csv"
     if not labels_path.exists():
         raise FileNotFoundError(f"labels file not found: {labels_path}")
-    labels = _read_labels(labels_path)
+    labels = dict(read_participant_table(labels_path, LABELS_HEADER))
     entries = []
     for pid in sorted(labels):
         transcript = data_dir / f"{pid}_TRANSCRIPT.csv"

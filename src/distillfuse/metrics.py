@@ -16,7 +16,6 @@ from .files import atomic_write
 
 __all__ = [
     "MetricsReport",
-    "RocCurve",
     "compute_metrics",
     "emit_report",
     "roc_auc",
@@ -36,22 +35,6 @@ class MetricsReport:
     f1_weighted: float
     zero_division: bool
     auc: float | None = None
-
-
-@dataclass
-class RocCurve:
-    """Points (fpr, tpr, threshold), fpr non-decreasing, from (0,0) to (1,1).
-
-    A point's threshold is the score at or above which an example is called
-    positive; the (0, 0) anchor carries threshold +inf.
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError(f"points must be (K, 3), got {self.points.shape}")
 
 
 def _validate_binary(values: np.ndarray, name: str) -> np.ndarray:
@@ -110,10 +93,12 @@ def compute_metrics(preds, labels) -> MetricsReport:
     )
 
 
-def roc_auc(scores, labels) -> tuple[RocCurve, float]:
+def roc_auc(scores, labels) -> tuple[np.ndarray, float]:
     """Threshold-sweep ROC over the distinct scores (ties grouped) and its
     trapezoidal area. Undefined when only one class is present; a NaN or
-    infinite score raises, since it has no rank."""
+    infinite score raises, since it has no rank. The curve's (K, 3) rows are
+    (fpr, tpr, threshold), fpr non-decreasing from (0, 0) to (1, 1); a row's
+    threshold is the lowest score called positive, +inf at (0, 0)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = _validate_binary(labels, "labels")
     if scores.ndim != 1 or scores.shape != labels.shape:
@@ -139,19 +124,18 @@ def roc_auc(scores, labels) -> tuple[RocCurve, float]:
         fp += (j - i + 1) - int(l_sorted[i : j + 1].sum())
         points.append((fp / n_neg, tp / n_pos, s_sorted[i]))
         i = j + 1
-    curve = RocCurve(np.array(points))
-    fpr, tpr = curve.points[:, 0], curve.points[:, 1]
+    curve = np.array(points)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    auc = float(trapezoid(tpr, fpr))
-    return curve, auc
+    return curve, float(trapezoid(curve[:, 1], curve[:, 0]))
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def emit_report(report: MetricsReport, curve: RocCurve | None, out_dir) -> tuple[Path, Path | None]:
-    """Write ``metrics.txt`` (key=value lines) and ``roc.csv`` under out_dir.
+def emit_report(report: MetricsReport, curve: np.ndarray | None,
+                out_dir) -> tuple[Path, Path | None]:
+    """Write ``metrics.txt`` (key=value lines) and ``roc.csv`` (``curve``'s rows) under out_dir.
 
     Float values are written with full round-trip precision; identical inputs
     produce byte-identical files.
@@ -180,5 +164,5 @@ def emit_report(report: MetricsReport, curve: RocCurve | None, out_dir) -> tuple
     roc_path = None if curve is None else out_dir / "roc.csv"
     if roc_path is not None:
         atomic_write(roc_path, "fpr,tpr,threshold\n" + "".join(
-            f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n" for fpr, tpr, thr in curve.points))
+            f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n" for fpr, tpr, thr in curve))
     return metrics_path, roc_path

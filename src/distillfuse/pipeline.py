@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .audio import (
-    FeatureSequence,
     MfccConfig,
     VadConfig,
     fix_length,
@@ -35,10 +34,12 @@ from .audio import (
 )
 from .config import RunConfig
 from .data import (
+    SPLIT_NAMES,
     Batch,
     DatasetManifest,
     load_dataset,
     make_batches,
+    read_participant_table,
     rng_for,
     synth_generate,
 )
@@ -120,7 +121,7 @@ def _one_blas_thread():
 # ------------------------------------------------------------- preprocess
 
 
-def _audio_features(cfg: RunConfig, wav_path) -> FeatureSequence:
+def _audio_features(cfg: RunConfig, wav_path) -> np.ndarray:
     w = read_wav(wav_path)
     w = resample(w, cfg.sample_rate)
     w = lowpass_filter(w, cfg.fir_cutoff_hz, cfg.fir_taps)
@@ -182,52 +183,26 @@ def preprocess(cfg: RunConfig, data_dir, features_dir) -> DatasetManifest:
     return manifest
 
 
-def _read_splits(features_dir) -> list[tuple[int, int, str]]:
-    """``(participant_id, label, split)`` rows of ``splits.csv``. A malformed
-    row raises ValueError naming the file, the line and the field."""
-    path = Path(features_dir) / "splits.csv"
-    with open(path, encoding="utf-8") as f:
-        lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
-    if not lines or lines[0][1] != "participant_id,label,split":
-        raise ValueError(f"{path}: expected header 'participant_id,label,split'")
-    out, first = [], {}
-    for lineno, line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields "
-                             f"participant_id,label,split, got {len(fields)}")
-        pid, label, split = fields
-        try:
-            pid = int(pid)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: participant_id {pid!r} is not an integer") from None
-        if label not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
-        if split not in ("train", "validation", "test"):
-            raise ValueError(f"{path}:{lineno}: split {split!r} is not train, validation or test")
-        if pid in first:
-            raise ValueError(f"{path}:{lineno}: participant_id {pid} already on line {first[pid]}")
-        first[pid] = lineno
-        out.append((pid, int(label), split))
-    return out
-
-
 def load_split_examples(cfg: RunConfig, features_dir, split: str) -> Batch:
     """One split's encoded text and fixed-length MFCC frames, stacked into
-    one ``Batch`` in ``splits.csv`` order."""
+    one ``Batch`` in ``splits.csv`` order. A split name other than train,
+    validation or test raises ValueError before any file is read."""
+    if split not in SPLIT_NAMES:
+        raise ValueError(f"split {split!r} is not train, validation or test")
     features_dir = Path(features_dir)
     vocab = load_vocab(features_dir / "vocab.txt")
-    rows = [(pid, label) for pid, label, s in _read_splits(features_dir) if s == split]
+    rows = [(pid, label) for pid, label, s in read_participant_table(
+        features_dir / "splits.csv", "participant_id,label,split", SPLIT_NAMES) if s == split]
     if not rows:
         raise ValueError(f"split {split!r} is empty in {features_dir}")
     seqs, frames = [], []
     for pid, _ in rows:
         text = (features_dir / f"{pid}_text.txt").read_text(encoding="utf-8").rstrip("\n")
         seqs.append(encode(text, vocab, cfg.max_len))
-        frames.append(fix_length(load_features(features_dir / f"{pid}.dfmf"),
-                                 cfg.target_frames).frames)
-    return Batch(token_ids=np.stack([q.ids for q in seqs]), mask=np.stack([q.mask for q in seqs]),
-                 mfcc=np.stack(frames), labels=np.array([lb for _, lb in rows], dtype=np.int64),
+        frames.append(fix_length(load_features(features_dir / f"{pid}.dfmf"), cfg.target_frames))
+    ids, mask = zip(*seqs)
+    return Batch(token_ids=np.stack(ids), mask=np.stack(mask), mfcc=np.stack(frames),
+                 labels=np.array([lb for _, lb in rows], dtype=np.int64),
                  ids=tuple(pid for pid, _ in rows))
 
 
@@ -356,6 +331,9 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     """Distill both frozen teachers into the fused student."""
     out_dir = Path(out_dir)
     dcfg = DistillConfig(cfg.alpha, cfg.teacher_mix_beta, cfg.temperature)
+    student = StudentModel.build(_vocab_size(features_dir), cfg)
+    opt = make_optimizer(cfg.optimizer_student, student.trainable_parameters(),
+                         cfg.lr_student, cfg.weight_decay)
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     expected = "teacher checkpoints must be a text teacher and an audio teacher"
@@ -365,9 +343,6 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     row_of = {pid: i for i, pid in enumerate(train.ids)}
     tables = [_split_probs(t, train, cfg.batch_size, cfg.temperature)
               for t in (text_teacher, audio_teacher)]
-    student = StudentModel.build(_vocab_size(features_dir), cfg)
-    opt = make_optimizer(cfg.optimizer_student, student.trainable_parameters(),
-                         cfg.lr_student, cfg.weight_decay)
 
     def step(batch, where):
         rows = [row_of[pid] for pid in batch.ids]

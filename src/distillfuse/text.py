@@ -18,7 +18,6 @@ __all__ = [
     "CLS_TOKEN",
     "PAD_TOKEN",
     "SEP_TOKEN",
-    "TokenSequence",
     "TranscriptParseError",
     "TranscriptTurn",
     "UNK_TOKEN",
@@ -142,24 +141,9 @@ def build_vocab(corpus: list[str], min_count: int = 1) -> Vocabulary:
     return Vocabulary(list(SPECIAL_TOKENS) + kept)
 
 
-@dataclass
-class TokenSequence:
-    """Fixed-length id vector plus its ones-prefix attention mask."""
-
-    ids: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        if self.ids.shape != self.mask.shape or self.ids.ndim != 1:
-            raise ValueError(
-                f"ids and mask must be equal-length vectors, got {self.ids.shape} vs {self.mask.shape}"
-            )
-
-
-def encode(text: str, vocab: Vocabulary, max_len: int = 512) -> TokenSequence:
-    """[cls] + token ids + [sep], truncated to max_len then padded with pad=0.
+def encode(text: str, vocab: Vocabulary, max_len: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, mask)``: the int64 ids of [cls] + token ids + [sep], truncated
+    to max_len then padded with pad=0, and their float64 attention mask.
 
     The separator is always the last real token; the mask is 1 over real
     tokens and 0 over padding.
@@ -173,7 +157,7 @@ def encode(text: str, vocab: Vocabulary, max_len: int = 512) -> TokenSequence:
     ids[1 + len(body)] = vocab.sep_id
     mask = np.zeros(max_len)
     mask[: 2 + len(body)] = 1.0
-    return TokenSequence(ids, mask)
+    return ids, mask
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:

@@ -11,11 +11,9 @@ import pytest
 from distillfuse import audio
 from distillfuse.audio import (
     FEATURE_MAGIC,
-    FeatureSequence,
     MfccConfig,
     VadConfig,
     WaveForm,
-    apply_fir,
     design_lowpass_fir,
     fix_length,
     hz_to_mel,
@@ -101,20 +99,20 @@ def _response_db(taps, freq, rate):
 
 
 def test_fir_unity_dc_gain_and_symmetry():
-    fir = design_lowpass_fir(7000.0, 16000, 101)
-    assert fir.coefficients.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(fir.coefficients, fir.coefficients[::-1], atol=1e-15)
+    taps = design_lowpass_fir(7000.0, 16000, 101)
+    assert taps.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(taps, taps[::-1], atol=1e-15)
 
 
 def test_fir_default_passes_1khz_and_kills_7500hz():
-    fir = design_lowpass_fir(7000.0, 16000, 101)
-    assert abs(_response_db(fir.coefficients, 1000.0, 16000)) < 1.0
-    assert _response_db(fir.coefficients, 7500.0, 16000) <= -20.0
+    taps = design_lowpass_fir(7000.0, 16000, 101)
+    assert abs(_response_db(taps, 1000.0, 16000)) < 1.0
+    assert _response_db(taps, 7500.0, 16000) <= -20.0
 
 
 def test_fir_attenuation_in_time_domain():
-    stop = apply_fir(_sine(7500, 16000, 0.2, amp=1.0), design_lowpass_fir(7000.0, 16000, 101))
-    band = apply_fir(_sine(1000, 16000, 0.2, amp=1.0), design_lowpass_fir(7000.0, 16000, 101))
+    stop = lowpass_filter(_sine(7500, 16000, 0.2, amp=1.0), 7000.0, 101)
+    band = lowpass_filter(_sine(1000, 16000, 0.2, amp=1.0), 7000.0, 101)
     # ignore convolution edges
     core = slice(200, -200)
     stop_rms = np.sqrt(np.mean(stop.samples[core] ** 2))
@@ -125,8 +123,8 @@ def test_fir_attenuation_in_time_domain():
 
 
 def test_fir_response_monotone_regions():
-    fir = design_lowpass_fir(7000.0, 16000, 101)
-    passband = [_response_db(fir.coefficients, f, 16000) for f in (100, 2000, 5000)]
+    taps = design_lowpass_fir(7000.0, 16000, 101)
+    passband = [_response_db(taps, f, 16000) for f in (100, 2000, 5000)]
     assert all(abs(db) < 1.0 for db in passband)
 
 
@@ -313,7 +311,7 @@ def test_mfcc_matches_brute_force_on_random_clips():
     cfg = MfccConfig()
     for _ in range(10):
         samples = rng.normal(scale=0.2, size=int(rng.integers(1600, 4000)))
-        got = mfcc_extract(WaveForm(samples, 16000), cfg).frames
+        got = mfcc_extract(WaveForm(samples, 16000), cfg)
         want = _mfcc_brute_force(samples, 16000, cfg)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-6
@@ -323,7 +321,7 @@ def test_mfcc_frame_count_formula():
     cfg = MfccConfig()
     for n in (512, 513, 671, 672, 3200):
         w = WaveForm(np.ones(n) * 0.1, 16000)
-        assert mfcc_extract(w, cfg).frames.shape[0] == 1 + (n - cfg.n_fft) // cfg.hop
+        assert mfcc_extract(w, cfg).shape[0] == 1 + (n - cfg.n_fft) // cfg.hop
 
 
 def test_mfcc_rejects_short_input():
@@ -333,7 +331,7 @@ def test_mfcc_rejects_short_input():
 
 def test_mfcc_all_zero_input_hits_log_floor():
     cfg = MfccConfig()
-    frames = mfcc_extract(WaveForm(np.zeros(1600), 16000), cfg).frames
+    frames = mfcc_extract(WaveForm(np.zeros(1600), 16000), cfg)
     # every filter output is floored, so every frame is the DCT of a
     # constant log-floor vector: coefficient 0 carries it, the rest vanish
     expected0 = np.log(cfg.log_floor) * np.sqrt(cfg.n_mels)
@@ -372,22 +370,21 @@ def test_mfcc_config_validation():
 
 
 def test_fix_length_truncates_keeping_first_frames():
-    seq = FeatureSequence(np.arange(40.0).reshape(10, 4))
-    out = fix_length(seq, 6)
-    np.testing.assert_array_equal(out.frames, seq.frames[:6])
+    frames = np.arange(40.0).reshape(10, 4)
+    out = fix_length(frames, 6)
+    np.testing.assert_array_equal(out, frames[:6])
 
 
 def test_fix_length_pads_with_zeros_at_end():
-    seq = FeatureSequence(np.ones((3, 4)))
-    out = fix_length(seq, 5)
-    assert out.frames.shape == (5, 4)
-    np.testing.assert_array_equal(out.frames[:3], np.ones((3, 4)))
-    np.testing.assert_array_equal(out.frames[3:], np.zeros((2, 4)))
+    out = fix_length(np.ones((3, 4)), 5)
+    assert out.shape == (5, 4)
+    np.testing.assert_array_equal(out[:3], np.ones((3, 4)))
+    np.testing.assert_array_equal(out[3:], np.zeros((2, 4)))
 
 
 def test_fix_length_validation():
     with pytest.raises(ValueError):
-        fix_length(FeatureSequence(np.ones((3, 4))), 0)
+        fix_length(np.ones((3, 4)), 0)
 
 
 # ------------------------------------------------------------- WAV files
@@ -434,11 +431,18 @@ def test_read_wav_rejects_8bit(tmp_path):
 
 def test_feature_file_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(34)
-    seq = FeatureSequence(rng.normal(size=(17, 13)))
+    frames = rng.normal(size=(17, 13))
     path = tmp_path / "f.bin"
-    save_features(path, seq)
-    back = load_features(path)
-    np.testing.assert_array_equal(back.frames, seq.frames)
+    save_features(path, frames)
+    np.testing.assert_array_equal(load_features(path), frames)
+
+
+@pytest.mark.parametrize("shape", [(13,), (2, 17, 13)], ids=["1-d", "3-d"])
+def test_save_features_refuses_frames_not_2d(tmp_path, shape):
+    path = tmp_path / "f.bin"
+    with pytest.raises(ValueError, match="frames must be 2-d"):
+        save_features(path, np.zeros(shape))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_feature_file_bad_magic(tmp_path):
@@ -458,7 +462,7 @@ def test_feature_file_bad_version(tmp_path):
 def test_feature_file_truncated_payload(tmp_path):
     # cut at every offset, header included: each cut names the file
     whole = tmp_path / "whole.bin"
-    save_features(whole, FeatureSequence(np.random.default_rng(35).normal(size=(2, 13))))
+    save_features(whole, np.random.default_rng(35).normal(size=(2, 13)))
     blob = whole.read_bytes()
     path = tmp_path / "f.bin"
     for n in range(len(blob)):

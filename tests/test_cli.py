@@ -191,8 +191,15 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, error", [
+        (["--temperature", "0"], "temperature must be positive, got 0.0"),
+        (["--fusion-heads", "0"], "n_heads must be >= 1, got 0"),
+        (["--n-heads", "3"], "d_model 8 not divisible by n_heads 3"),
+        (["--optimizer-student", "bogus"], "unknown optimizer kind 'bogus'"),
+    ], ids=["temperature", "fusion-heads", "n-heads", "optimizer-student"])
     def test_bad_distillation_option_fails_before_any_teacher_runs(self, prepared, tmp_path,
-                                                                   monkeypatch, capsys):
+                                                                   monkeypatch, capsys, option,
+                                                                   error):
         calls = []
         for model in (TextTeacherModel, AudioTeacherModel):
             monkeypatch.setattr(model, "predict_probs", lambda *args, _f=model.predict_probs,
@@ -202,11 +209,20 @@ class TestErrorPaths:
             rc = main(["train-student", *TINY, "--features-dir", str(prepared["feats"]),
                        "--text-teacher-ckpt", str(prepared["text_ckpt"]),
                        "--audio-teacher-ckpt", str(prepared["audio_ckpt"]),
-                       "--temperature", "0", "--out-dir", str(tmp_path / "out")])
+                       *option, "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: temperature must be positive, got 0.0\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
         assert calls == []
+
+    def test_unknown_eval_split_fails_before_reading(self, prepared, tmp_path, capsys):
+        rc = main(["evaluate", *TINY, "--features-dir", str(tmp_path / "nowhere"),
+                   "--checkpoint", str(prepared["audio_ckpt"]), "--eval-split", "valid",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: split 'valid' is not train, validation or test\n")
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_that_is_a_directory_is_named(self, prepared, tmp_path, capsys):
         ckpt = tmp_path / "ckpt_dir"

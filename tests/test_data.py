@@ -4,6 +4,7 @@ warnings, deterministic splits, batching, and the synthetic corpus contract
 """
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -73,13 +74,21 @@ class TestLoadDataset:
 
     def test_bad_label_rows(self, tmp_path):
         base = "Participant_ID,PHQ8_Binary\n"
-        for bad, msg in ((base + "1,2\n", "0 or 1"),
-                         (base + "1,x\n", "non-integer"),
-                         (base + "1,0,9\n", "2 comma-separated"),
-                         (base + "1,0\n\n1,1\n", "line 4: participant 1 already on line 2")):
-            (tmp_path / "labels.csv").write_text(bad)
-            with pytest.raises(ValueError, match=msg):
+        path = tmp_path / "labels.csv"
+        for bad, msg in ((base + "1,2\n", "2: PHQ8_Binary '2' is not 0 or 1"),
+                         (base + "1,x\n", "2: PHQ8_Binary 'x' is not 0 or 1"),
+                         (base + "1,0,9\n",
+                          "2: expected 2 fields Participant_ID,PHQ8_Binary, got 3"),
+                         (base + "1,0\n\n1,1\n", "4: Participant_ID 1 already on line 2")):
+            path.write_text(bad)
+            with pytest.raises(ValueError, match=re.escape(f"{path}:{msg}")):
                 load_dataset(tmp_path)
+
+    def test_space_after_comma_still_loads(self, tmp_path):
+        self._corpus(tmp_path, n=2)
+        (tmp_path / "labels.csv").write_text("Participant_ID,PHQ8_Binary\n100,0\n101, 1\n")
+        assert [(e.participant_id, e.label) for e in load_dataset(tmp_path).entries] == [
+            (100, 0), (101, 1)]
 
     def test_incomplete_participants_skipped_with_warning(self, tmp_path, caplog):
         self._corpus(tmp_path, n=4)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from distillfuse import pipeline
-from distillfuse.audio import FeatureSequence, WaveForm, save_features, write_wav
+from distillfuse.audio import WaveForm, save_features, write_wav
 from distillfuse.checkpoint import Checkpoint, save_checkpoint
 from distillfuse.config import RunConfig, save_config
 from distillfuse.data import synth_generate
@@ -100,7 +100,7 @@ WRITERS = {
     "save_checkpoint": ("model.ckpt", _checkpoint, _checkpoint_bytes()),
     "save_features": (
         "p.dfmf",
-        lambda d, v: save_features(d / "p.dfmf", FeatureSequence(_frames(v))),
+        lambda d, v: save_features(d / "p.dfmf", _frames(v)),
         b"DFMF" + struct.pack("<III", 1, 3, 2) + _frames(0).astype("<f8").tobytes(),
     ),
     "write_wav": (

@@ -8,7 +8,6 @@ import pytest
 
 from distillfuse.metrics import (
     MetricsReport,
-    RocCurve,
     compute_metrics,
     emit_report,
     roc_auc,
@@ -151,7 +150,7 @@ class TestRocAuc:
         curve, auc = roc_auc(scores, labels)
         assert auc == 1.0
         # the all-positive-before-any-negative corner is on the curve
-        assert any((fpr == 0.0 and tpr == 1.0) for fpr, tpr, _ in curve.points)
+        assert any((fpr == 0.0 and tpr == 1.0) for fpr, tpr, _ in curve)
 
     def test_reversed_scores_give_zero(self):
         _, auc = roc_auc([0.1, 0.2, 0.8, 0.9], [1, 1, 0, 0])
@@ -166,8 +165,7 @@ class TestRocAuc:
         scores = rng.normal(size=25)
         labels = rng.integers(0, 2, size=25)
         labels[0], labels[1] = 0, 1
-        curve, _ = roc_auc(scores, labels)
-        pts = curve.points
+        pts, _ = roc_auc(scores, labels)
         assert pts[0, 0] == 0.0 and pts[0, 1] == 0.0
         assert pts[0, 2] == np.inf
         assert pts[-1, 0] == 1.0 and pts[-1, 1] == 1.0
@@ -179,7 +177,7 @@ class TestRocAuc:
     def test_tied_scores_grouped_into_one_point(self):
         curve, _ = roc_auc([0.7, 0.7, 0.7, 0.1], [1, 0, 1, 0])
         # anchor + one point for 0.7 + one for 0.1
-        assert curve.points.shape[0] == 3
+        assert curve.shape[0] == 3
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single class"):
@@ -201,10 +199,6 @@ class TestRocAuc:
     def test_non_finite_score_rejected(self, scores, index):
         with pytest.raises(ValueError, match=f"index {index} "):
             roc_auc(scores, [1, 1, 0, 0])
-
-    def test_curve_shape_validation(self):
-        with pytest.raises(ValueError, match="points"):
-            RocCurve(np.zeros((3, 2)))
 
 
 class TestReportFiles:
@@ -229,9 +223,9 @@ class TestReportFiles:
         assert back["support_class0"] == rep.support[0]
         rows = rpath.read_text().strip().split("\n")
         assert rows[0] == "fpr,tpr,threshold"
-        assert len(rows) == 1 + curve.points.shape[0]
+        assert len(rows) == 1 + curve.shape[0]
         got = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-        np.testing.assert_array_equal(got, curve.points)
+        np.testing.assert_array_equal(got, curve)
 
     def test_identical_inputs_produce_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(5)

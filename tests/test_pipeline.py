@@ -286,9 +286,13 @@ class TestLoadSplitExamples:
             seen += load_split_examples(workspace.cfg, workspace.features, split).ids
         assert sorted(seen) == sorted(e.participant_id for e in workspace.manifest.entries)
 
-    def test_unknown_split_empty(self, workspace):
-        with pytest.raises(ValueError, match="empty"):
-            load_split_examples(workspace.cfg, workspace.features, "dev")
+    def test_unknown_or_empty_split_rejected(self, workspace, tmp_path):
+        with pytest.raises(ValueError, match="split 'dev' is not train, validation or test"):
+            load_split_examples(workspace.cfg, tmp_path, "dev")  # reads nothing
+        (tmp_path / "vocab.txt").write_bytes((workspace.features / "vocab.txt").read_bytes())
+        (tmp_path / "splits.csv").write_text("participant_id,label,split\n3,0,train\n")
+        with pytest.raises(ValueError, match=re.escape(f"split 'test' is empty in {tmp_path}")):
+            load_split_examples(workspace.cfg, tmp_path, "test")
 
 
 class TestSplitsFile:

@@ -194,45 +194,38 @@ def test_vocab_deterministic_across_document_order():
 
 def test_encode_layout_and_mask():
     v = build_vocab(["alpha beta gamma"])
-    seq = encode("alpha beta", v, max_len=6)
-    assert seq.ids.dtype == np.int64
-    assert list(seq.ids) == [v.cls_id, v.lookup("alpha"), v.lookup("beta"), v.sep_id, 0, 0]
-    np.testing.assert_array_equal(seq.mask, [1, 1, 1, 1, 0, 0])
+    ids, mask = encode("alpha beta", v, max_len=6)
+    assert ids.dtype == np.int64
+    assert list(ids) == [v.cls_id, v.lookup("alpha"), v.lookup("beta"), v.sep_id, 0, 0]
+    np.testing.assert_array_equal(mask, [1, 1, 1, 1, 0, 0])
 
 
 def test_encode_truncates_body_keeping_terminator():
     v = build_vocab(["a b c d e f"])
-    seq = encode("a b c d e f", v, max_len=5)
-    assert seq.ids[0] == v.cls_id
-    assert seq.ids[4] == v.sep_id
-    assert list(seq.ids[1:4]) == [v.lookup("a"), v.lookup("b"), v.lookup("c")]
-    np.testing.assert_array_equal(seq.mask, np.ones(5))
+    ids, mask = encode("a b c d e f", v, max_len=5)
+    assert ids[0] == v.cls_id
+    assert ids[4] == v.sep_id
+    assert list(ids[1:4]) == [v.lookup("a"), v.lookup("b"), v.lookup("c")]
+    np.testing.assert_array_equal(mask, np.ones(5))
 
 
 def test_encode_unknown_words_map_to_unk():
     v = build_vocab(["hello"])
-    seq = encode("hello stranger", v, max_len=8)
-    assert list(seq.ids[:4]) == [v.cls_id, v.lookup("hello"), v.unk_id, v.sep_id]
+    ids, _ = encode("hello stranger", v, max_len=8)
+    assert list(ids[:4]) == [v.cls_id, v.lookup("hello"), v.unk_id, v.sep_id]
 
 
 def test_encode_empty_text():
     v = build_vocab(["word"])
-    seq = encode("", v, max_len=4)
-    assert list(seq.ids) == [v.cls_id, v.sep_id, 0, 0]
-    np.testing.assert_array_equal(seq.mask, [1, 1, 0, 0])
+    ids, mask = encode("", v, max_len=4)
+    assert list(ids) == [v.cls_id, v.sep_id, 0, 0]
+    np.testing.assert_array_equal(mask, [1, 1, 0, 0])
 
 
 def test_encode_max_len_lower_bound():
     v = build_vocab(["a"])
     with pytest.raises(ValueError):
         encode("a", v, max_len=2)
-
-
-def test_token_sequence_validation():
-    from distillfuse.text import TokenSequence
-
-    with pytest.raises(ValueError):
-        TokenSequence(np.zeros(4, dtype=np.int64), np.zeros(3))
 
 
 # ------------------------------------------------------------- vocab files
