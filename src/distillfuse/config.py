@@ -117,8 +117,10 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read ``key = value`` lines; blank lines and '#' comments are ignored."""
+    """Read ``key = value`` lines; blank lines and '#' comments are ignored,
+    and a key set twice raises ConfigError naming both lines."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -130,6 +132,10 @@ def parse_config_file(path) -> dict[str, str]:
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path} line {lineno}: unknown config key {key!r}")
+            if key in line_of:
+                raise ConfigError(f"{path} line {lineno}: config key {key!r} already set "
+                                  f"on line {line_of[key]}")
+            line_of[key] = lineno
             out[key] = value.strip()
     return out
 

@@ -31,6 +31,7 @@ from .tensor import (
 
 __all__ = [
     "BiLstm",
+    "Block",
     "ClassifierHead",
     "LoraAdapter",
     "TextEncoder",
@@ -44,7 +45,11 @@ __all__ = [
 MASK_NEG = -1e30  # additive stand-in for -inf on padded attention scores
 
 
-def uniform_param(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Parameter:
+def uniform_param(rng: np.random.Generator | None, shape: tuple[int, ...],
+                  fan_in: int) -> Parameter:
+    """Zeros when ``rng`` is None, for weights that are about to be loaded."""
+    if rng is None:
+        return zeros_param(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return Parameter(rng.uniform(-bound, bound, size=shape))
 
@@ -93,7 +98,26 @@ def _softmax(x):
     return softmax(x, axis=-1) if isinstance(x, Tensor) else softmax_np(x, axis=-1, out=x)
 
 
-class LoraAdapter:
+class Block:
+    """A part whose weights are named in the order ``__init__`` assigns them:
+    a ``Tensor`` attribute by its name, a ``Block`` one as ``attr.`` plus its
+    own names, and item i of a list as ``layer0.`` for ``layers`` (a final "s"
+    dropped). Anything else, such as sizes or an absent adapter, is skipped."""
+
+    def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        out = []
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out.append((prefix + attr, value))
+            elif isinstance(value, Block):
+                out += value.named_parameters(f"{prefix}{attr}.")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    out += item.named_parameters(f"{prefix}{attr.removesuffix('s')}{i}.")
+        return out
+
+
+class LoraAdapter(Block):
     """Low-rank update for a frozen (d_out, d_in) weight: W0 + (alpha/r) B A.
 
     A is (r, d_in), initialized uniform(+-1/sqrt(d_in)); B is (d_out, r),
@@ -112,9 +136,6 @@ class LoraAdapter:
     def scale(self) -> float:
         return self.alpha / self.rank
 
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
-        return [(prefix + "a", self.a), (prefix + "b", self.b)]
-
 
 def lora_effective_weight(w0: Tensor, adapter: LoraAdapter) -> Tensor:
     """W0 + (alpha / rank) * B @ A; the update must match W0's shape."""
@@ -127,7 +148,7 @@ def lora_effective_weight(w0: Tensor, adapter: LoraAdapter) -> Tensor:
     return w0 + adapter.scale * (adapter.b @ adapter.a)
 
 
-class EncoderLayer:
+class EncoderLayer(Block):
     """Masked multi-head self-attention + position-wise feed-forward, each
     followed by residual + layer normalization."""
 
@@ -176,19 +197,8 @@ class EncoderLayer:
         ff = linear(_relu(linear(x, w(self.w1), w(self.b1))), w(self.w2), w(self.b2))
         return layer_norm(x + ff, w(self.ln2_g), w(self.ln2_b))
 
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
-        out = [
-            (prefix + n, getattr(self, n))
-            for n in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-                      "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b")
-        ]
-        if self.lora_q:
-            out += self.lora_q.named_parameters(prefix + "lora_q.")
-            out += self.lora_v.named_parameters(prefix + "lora_v.")
-        return out
 
-
-class TextEncoder:
+class TextEncoder(Block):
     """Token + learned positional embeddings of (batch, length) ids, n_layers
     of masked self-attention blocks, pooled by the position-0 ([cls]) state.
 
@@ -232,12 +242,6 @@ class TextEncoder:
             x = layer.forward(x, add_mask)
         return x[:, 0, :] if taped else Tensor(x[:, 0, :])
 
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        out = [("tok_emb", self.tok_emb), ("pos_emb", self.pos_emb)]
-        for i, layer in enumerate(self.layers):
-            out += layer.named_parameters(f"layer{i}.")
-        return out
-
     def base_parameters(self) -> list[Parameter]:
         """Everything except the low-rank adapters."""
         return [p for n, p in self.named_parameters() if ".lora_" not in n]
@@ -247,7 +251,7 @@ class TextEncoder:
             p.freeze()
 
 
-class BiLstm:
+class BiLstm(Block):
     """Bidirectional LSTM over (B, T, input_dim) frame batches.
 
     Gate order in the packed (4H, .) weights is input, forget, cell, output;
@@ -314,11 +318,8 @@ class BiLstm:
         (_, mf), (_, mb) = self._directions(x, transform)
         return concat([mf, mb], axis=1)
 
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        return [(n, getattr(self, n)) for n in ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b")]
 
-
-class ClassifierHead:
+class ClassifierHead(Block):
     """Affine map to 2 logits."""
 
     def __init__(self, d_in: int, n_classes: int = 2, *, rng):
@@ -327,6 +328,3 @@ class ClassifierHead:
 
     def logits(self, features: Tensor) -> Tensor:
         return linear(features, self.w, self.b)
-
-    def named_parameters(self, prefix: str = "head.") -> list[tuple[str, Parameter]]:
-        return [(prefix + "w", self.w), (prefix + "b", self.b)]

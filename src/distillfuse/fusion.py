@@ -9,13 +9,13 @@ concatenated outputs through an output projection.
 
 from __future__ import annotations
 
-from .encoders import linear, uniform_param, zeros_param
-from .tensor import Parameter, ShapeError, Tensor, _as_tensor, concat, softmax
+from .encoders import Block, linear, uniform_param, zeros_param
+from .tensor import ShapeError, Tensor, _as_tensor, concat, softmax
 
 __all__ = ["FusionParams", "MultiHeadFusion", "fuse_attention", "multi_head_fuse"]
 
 
-class FusionParams:
+class FusionParams(Block):
     """One fusion block: per-modality projections plus the shared scorer."""
 
     def __init__(self, d_t: int, d_a: int, d_h: int, *, rng):
@@ -25,12 +25,6 @@ class FusionParams:
         self.b_a = zeros_param(d_h)
         self.w_e = uniform_param(rng, (1, d_h), fan_in=d_h)
         self.b_e = zeros_param(1)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
-        return [
-            (prefix + n, getattr(self, n))
-            for n in ("w_t", "b_t", "w_a", "b_a", "w_e", "b_e")
-        ]
 
 
 def fuse_attention(x_t, x_a, p: FusionParams) -> tuple[Tensor, Tensor]:
@@ -51,7 +45,7 @@ def fuse_attention(x_t, x_a, p: FusionParams) -> tuple[Tensor, Tensor]:
     return weights[:, 0:1] * h_t + weights[:, 1:2] * h_a, weights
 
 
-class MultiHeadFusion:
+class MultiHeadFusion(Block):
     """H independent fusion blocks; concatenated outputs pass through an
     output projection (d_h, H * d_h). H = 1 with an identity projection and
     zero bias reduces exactly to the single block."""
@@ -62,13 +56,6 @@ class MultiHeadFusion:
         self.heads = [FusionParams(d_t, d_a, d_h, rng=rng) for _ in range(n_heads)]
         self.w_out = uniform_param(rng, (d_h, n_heads * d_h), fan_in=n_heads * d_h)
         self.b_out = zeros_param(d_h)
-
-    def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
-        out = []
-        for i, head in enumerate(self.heads):
-            out += head.named_parameters(f"{prefix}head{i}.")
-        out += [(prefix + "w_out", self.w_out), (prefix + "b_out", self.b_out)]
-        return out
 
 
 def multi_head_fuse(x_t, x_a, mp: MultiHeadFusion) -> tuple[Tensor, Tensor]:

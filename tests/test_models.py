@@ -214,6 +214,60 @@ class TestStudent:
             np.testing.assert_array_equal(before, back.predict_probs(ids, mask, mfcc))
 
 
+# Block names of a two-layer text encoder, without and with LoRA adapters
+# (the student's encoder has none), of the BiLSTM and of one fusion block.
+_LAYER = ["wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo", "w1", "b1", "w2", "b2",
+          "ln1_g", "ln1_b", "ln2_g", "ln2_b"]
+_ENCODER = ["tok_emb", "pos_emb", *(f"layer{i}.{n}" for i in range(2) for n in _LAYER)]
+_LORA_ENCODER = ["tok_emb", "pos_emb", *(
+    f"layer{i}.{n}" for i in range(2)
+    for n in [*_LAYER, "lora_q.a", "lora_q.b", "lora_v.a", "lora_v.b"])]
+_BILSTM = ["wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b"]
+_FUSION = ["w_t", "b_t", "w_a", "b_a", "w_e", "b_e"]
+
+
+class TestBlockNames:
+    """Each kind's checkpoint block names, in the order a checkpoint stores them."""
+
+    @pytest.mark.parametrize("kind, multi_head, heads, expected", [
+        ("text-teacher", False, 1, [*_LORA_ENCODER, "head.w", "head.b"]),
+        ("audio-teacher", False, 1, [*_BILSTM, "head.w", "head.b"]),
+        ("student", True, 2, [*("text." + n for n in _ENCODER), *("audio." + n for n in _BILSTM),
+                              *(f"fusion.head{i}.{n}" for i in range(2) for n in _FUSION),
+                              "fusion.w_out", "fusion.b_out", "head.w", "head.b"]),
+        ("student", True, 1, [*("text." + n for n in _ENCODER), *("audio." + n for n in _BILSTM),
+                              *("fusion.head0." + n for n in _FUSION),
+                              "fusion.w_out", "fusion.b_out", "head.w", "head.b"]),
+        ("student", False, 1, [*("text." + n for n in _ENCODER), *("audio." + n for n in _BILSTM),
+                               *("fusion." + n for n in _FUSION), "head.w", "head.b"]),
+    ], ids=["text-teacher", "audio-teacher", "student-2-head", "student-1-head", "student-single"])
+    def test_ordered_block_names(self, kind, multi_head, heads, expected):
+        cfg = _tiny_cfg(n_layers=2, lora_rank=1, multi_head=multi_head, fusion_heads=heads)
+        model = {"text-teacher": lambda: TextTeacherModel.build(12, cfg),
+                 "audio-teacher": lambda: AudioTeacherModel.build(cfg),
+                 "student": lambda: StudentModel.build(12, cfg)}[kind]()
+        assert list(model.to_checkpoint().arrays) == expected
+        assert list(model_from_checkpoint(model.to_checkpoint()).to_checkpoint().arrays) == expected
+
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        cfg = _tiny_cfg()
+        models = [TextTeacherModel.build(12, cfg), AudioTeacherModel.build(cfg),
+                  StudentModel.build(12, cfg)]
+        for i, model in enumerate(models):
+            save_checkpoint(tmp_path / f"{i}.ckpt", model.to_checkpoint())
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        for i, model in enumerate(models):
+            back = load_model(tmp_path / f"{i}.ckpt")
+            assert type(back) is type(model)
+            for (n, p), (m, q) in zip(model.named_parameters(), back.named_parameters()):
+                assert n == m
+                np.testing.assert_array_equal(p.data, q.data)
+
+
 class TestDispatch:
     def test_unknown_kind_rejected(self, tmp_path):
         from distillfuse.checkpoint import Checkpoint
