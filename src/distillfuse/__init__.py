@@ -6,7 +6,7 @@ int8 quantization, attention fusion, and response distillation into a
 compact multimodal student.
 """
 
-from .tensor import DomainError, Parameter, ShapeError, Tensor
+from .tensor import DomainError, ShapeError, Tensor
 from .config import ConfigError, RunConfig, resolve_config
 from .data import DatasetManifest, load_dataset, make_batches, rng_for, synth_generate
 from .distill import DistillConfig, LossBreakdown, student_train_step
@@ -33,7 +33,6 @@ __all__ = [
     "DomainError",
     "LossBreakdown",
     "MetricsReport",
-    "Parameter",
     "RunConfig",
     "ShapeError",
     "StudentModel",

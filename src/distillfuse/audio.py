@@ -55,10 +55,6 @@ class WaveForm:
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def resample(w: WaveForm, target_rate: int) -> WaveForm:
     """Linear-interpolation resample; duration preserved within one sample period."""
@@ -299,7 +295,8 @@ def save_features(path, frames: np.ndarray) -> None:
 
 def load_features(path) -> np.ndarray:
     """The (T, n_coeffs) float64 frames of a file ``save_features`` wrote. A
-    bad magic, version or length raises ValueError naming the file."""
+    bad magic, version or length, or a NaN or infinite value, raises
+    ValueError naming the file."""
     blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise ValueError(f"{path}: bad feature-file magic {blob[:4]!r}")
@@ -311,4 +308,8 @@ def load_features(path) -> np.ndarray:
     expected = 16 + 8 * t * c
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    return np.frombuffer(blob, dtype="<f8", offset=16).reshape(t, c).copy()
+    frames = np.frombuffer(blob, dtype="<f8", offset=16).reshape(t, c).copy()
+    bad = ~np.isfinite(frames).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: non-finite value in frame {int(bad.argmax())}")
+    return frames

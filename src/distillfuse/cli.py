@@ -16,10 +16,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import pipeline
-from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, resolve_config, save_config
 from .data import synth_generate
-from .text import TranscriptParseError
 
 COMMANDS = (
     "synth",
@@ -161,7 +159,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.config, overrides)
         _dispatch(args.command, cfg)
-    except (ConfigError, CheckpointError, TranscriptParseError, ValueError, OSError) as err:
+    except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

@@ -115,9 +115,9 @@ def ce_loss_tensor(logits: Tensor, y_onehot: np.ndarray) -> Tensor:
     return -(Tensor(y_onehot) * q.log()).sum() * (1.0 / bsz)
 
 
-def one_hot(labels: np.ndarray, n_classes: int = 2) -> np.ndarray:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.size, n_classes))
+    out = np.zeros((labels.size, 2))
     out[np.arange(labels.size), labels] = 1.0
     return out
 

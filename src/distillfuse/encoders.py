@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import (
-    Parameter,
     ShapeError,
     Tensor,
     concat,
@@ -43,19 +42,20 @@ __all__ = [
 ]
 
 MASK_NEG = -1e30  # additive stand-in for -inf on padded attention scores
+LN_EPS = 1e-5  # added to the variance before layer normalization's square root
 
 
 def uniform_param(rng: np.random.Generator | None, shape: tuple[int, ...],
-                  fan_in: int) -> Parameter:
+                  fan_in: int) -> Tensor:
     """Zeros when ``rng`` is None, for weights that are about to be loaded."""
     if rng is None:
         return zeros_param(shape)
     bound = 1.0 / np.sqrt(fan_in)
-    return Parameter(rng.uniform(-bound, bound, size=shape))
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def zeros_param(shape) -> Parameter:
-    return Parameter(np.zeros(shape))
+def zeros_param(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -67,11 +67,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Parameter, beta: Parameter, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis; all Tensors or all arrays."""
     out = x - x.mean(axis=-1, keepdims=True)
     var = (out * out).mean(axis=-1, keepdims=True)
-    var += eps
+    var += LN_EPS
     out /= var ** 0.5
     out *= gamma
     out += beta
@@ -168,9 +168,9 @@ class EncoderLayer(Block):
         self.b1 = zeros_param(d_ff)
         self.w2 = uniform_param(rng, (d, d_ff), fan_in=d_ff)
         self.b2 = zeros_param(d)
-        self.ln1_g = Parameter(np.ones(d))
+        self.ln1_g = Tensor(np.ones(d), requires_grad=True)
         self.ln1_b = zeros_param(d)
-        self.ln2_g = Parameter(np.ones(d))
+        self.ln2_g = Tensor(np.ones(d), requires_grad=True)
         self.ln2_b = zeros_param(d)
         self.lora_q = self.lora_v = None
         if lora_rank:
@@ -241,14 +241,6 @@ class TextEncoder(Block):
         for layer in self.layers:
             x = layer.forward(x, add_mask)
         return x[:, 0, :] if taped else Tensor(x[:, 0, :])
-
-    def base_parameters(self) -> list[Parameter]:
-        """Everything except the low-rank adapters."""
-        return [p for n, p in self.named_parameters() if ".lora_" not in n]
-
-    def freeze_base(self) -> None:
-        for p in self.base_parameters():
-            p.freeze()
 
 
 class BiLstm(Block):
@@ -322,9 +314,9 @@ class BiLstm(Block):
 class ClassifierHead(Block):
     """Affine map to 2 logits."""
 
-    def __init__(self, d_in: int, n_classes: int = 2, *, rng):
-        self.w = uniform_param(rng, (n_classes, d_in), fan_in=d_in)
-        self.b = zeros_param(n_classes)
+    def __init__(self, d_in: int, *, rng):
+        self.w = uniform_param(rng, (2, d_in), fan_in=d_in)
+        self.b = zeros_param(2)
 
     def logits(self, features: Tensor) -> Tensor:
         return linear(features, self.w, self.b)

@@ -14,7 +14,7 @@ from .data import rng_for
 from .encoders import BiLstm, ClassifierHead, TextEncoder
 from .fusion import FusionParams, MultiHeadFusion, fuse_attention, multi_head_fuse
 from .quant import calibrate, dequantize, fake_quant, quantize
-from .tensor import Parameter, Tensor, softmax_np
+from .tensor import Tensor, softmax_np
 
 __all__ = [
     "AudioTeacherModel",
@@ -81,7 +81,7 @@ def _encoder_meta(vocab_size: int, cfg: RunConfig) -> dict:
     return {"vocab_size": vocab_size, **{k: getattr(cfg, k) for k, _ in _ENCODER_META[1:]}}
 
 
-def _assign_blocks(named: list[tuple[str, Parameter]], arrays: dict[str, np.ndarray],
+def _assign_blocks(named: list[tuple[str, Tensor]], arrays: dict[str, np.ndarray],
                    source: str) -> None:
     names = [n for n, _ in named]
     missing = [n for n in names if n not in arrays]
@@ -131,11 +131,11 @@ class _Model:
     def inputs(self, batch) -> tuple:
         return tuple(getattr(batch, f) for f in self.INPUTS)
 
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [named for prefix, attr in self.PARTS
                 for named in getattr(self, attr).named_parameters(prefix)]
 
-    def trainable_parameters(self) -> list[Parameter]:
+    def trainable_parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters() if p.requires_grad]
 
     def forward_with_attention(self, *inputs) -> tuple[Tensor, np.ndarray | None]:
@@ -174,7 +174,8 @@ class TextTeacherModel(_Model):
 
     def _assemble(self, rng, **m) -> None:
         self.encoder = TextEncoder(**m, rng=rng)
-        self.encoder.freeze_base()
+        for name, p in self.encoder.named_parameters():  # only the adapters train
+            p.requires_grad = ".lora_" in name
         self.head = ClassifierHead(m["d_model"], rng=rng)
 
     @classmethod
@@ -221,7 +222,7 @@ def make_fake_quant_transform(scheme: str):
     """Weight transform for QAT: fake-quantize every weight matrix (ndim >= 2),
     recalibrated from the current values on every call; biases pass through."""
 
-    def transform(name: str, p: Parameter):
+    def transform(name: str, p: Tensor):
         if p.data.ndim >= 2:
             return fake_quant(p, calibrate(p.data, scheme))
         return p

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 
-from .tensor import Parameter
+from .tensor import Tensor
 
 __all__ = ["SGD", "Adam", "AdamW", "PlateauScheduler", "make_optimizer"]
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 class SGD:
@@ -16,7 +18,7 @@ class SGD:
 
     kind = "sgd"
 
-    def __init__(self, params: list[Parameter], lr: float):
+    def __init__(self, params: list[Tensor], lr: float):
         if lr <= 0.0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = [p for p in params if p.requires_grad]
@@ -39,24 +41,13 @@ class SGD:
 
 
 class Adam(SGD):
-    """Adam with bias-corrected first and second moments."""
+    """Adam with bias-corrected first and second moments and the standard
+    constants ``BETA1``, ``BETA2`` and ``EPS``."""
 
     kind = "adam"
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Tensor], lr: float):
         super().__init__(params, lr)
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
@@ -64,15 +55,15 @@ class Adam(SGD):
         self._check_grads()
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 class AdamW(Adam):
@@ -80,16 +71,8 @@ class AdamW(Adam):
 
     kind = "adamw"
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr, beta1, beta2, eps)
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
+        super().__init__(params, lr)
         if weight_decay < 0.0:
             raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
         self.weight_decay = weight_decay
@@ -102,7 +85,7 @@ class AdamW(Adam):
         Adam.step(self)
 
 
-def make_optimizer(kind: str, params: list[Parameter], lr: float, weight_decay: float = 0.0):
+def make_optimizer(kind: str, params: list[Tensor], lr: float, weight_decay: float = 0.0):
     """Build an optimizer by name: 'sgd', 'adam', or 'adamw'."""
     kind = kind.lower()
     if kind == "sgd":

@@ -300,13 +300,17 @@ def train_audio_teacher(cfg: RunConfig, features_dir, out_dir) -> Path:
                           sched)
 
 
-def _load_kind(path, features_dir, cls=object, expected: str = ""):
+def _load_kind(cfg: RunConfig, path, features_dir, cls=object, expected: str = ""):
     """The model in ``path``. ValueError names the file when it is not a
-    ``cls`` (with its kind and ``expected``), or when its ``vocab_size`` is
-    not that of ``features_dir``'s ``vocab.txt`` (with both sizes)."""
+    ``cls`` (with its kind and ``expected``), when its ``max_len`` is not
+    ``cfg.max_len``, or when its ``vocab_size`` is not that of
+    ``features_dir``'s ``vocab.txt`` (each with both values)."""
     model = load_model(path)
     if not isinstance(model, cls):
         raise ValueError(f"{path}: holds kind {model.kind!r}; {expected}")
+    if model.meta.get("max_len", cfg.max_len) != cfg.max_len:
+        raise ValueError(f"{path}: max_len {model.meta['max_len']} does not match "
+                         f"the configured max_len {cfg.max_len}")
     size, vocab = model.meta.get("vocab_size"), Path(features_dir) / "vocab.txt"
     if size is not None and size != (tokens := load_vocab(vocab).size):
         raise ValueError(f"{path}: vocab_size {size} does not match the "
@@ -337,8 +341,8 @@ def train_student(cfg: RunConfig, features_dir, text_ckpt, audio_ckpt, out_dir) 
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
     expected = "teacher checkpoints must be a text teacher and an audio teacher"
-    text_teacher = _load_kind(text_ckpt, features_dir, TextTeacherModel, expected)
-    audio_teacher = _load_kind(audio_ckpt, features_dir, AudioTeacherModel, expected)
+    text_teacher = _load_kind(cfg, text_ckpt, features_dir, TextTeacherModel, expected)
+    audio_teacher = _load_kind(cfg, audio_ckpt, features_dir, AudioTeacherModel, expected)
     # The teachers do not train: score the split once and index the rows by participant.
     row_of = {pid: i for i, pid in enumerate(train.ids)}
     tables = [_split_probs(t, train, cfg.batch_size, cfg.temperature)
@@ -372,7 +376,7 @@ def quantize_pipeline(cfg: RunConfig, audio_ckpt, features_dir, out_dir) -> Path
     storage ratio.
     """
     out_dir = Path(out_dir)
-    model = _load_kind(audio_ckpt, features_dir, AudioTeacherModel,
+    model = _load_kind(cfg, audio_ckpt, features_dir, AudioTeacherModel,
                        "expected an audio-teacher checkpoint")
     train = load_split_examples(cfg, features_dir, "train")
     val = load_split_examples(cfg, features_dir, "validation")
@@ -405,7 +409,7 @@ def evaluate_model(cfg: RunConfig, ckpt_path, features_dir, split, out_dir) -> M
     student) per-example fusion attention weights, removing the optional
     files it does not write so that none is left from an earlier model."""
     out_dir = Path(out_dir)
-    model = _load_kind(ckpt_path, features_dir)
+    model = _load_kind(cfg, ckpt_path, features_dir)
     examples = load_split_examples(cfg, features_dir, split)
     with no_grad():
         logits, weights = zip(*[model.forward_with_attention(*model.inputs(b))

@@ -30,7 +30,6 @@ class QuantParams:
     scale: float
     zero_point: int
     scheme: str
-    bits: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.scale < np.inf:

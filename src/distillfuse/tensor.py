@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "Parameter",
     "ShapeError",
     "Tensor",
     "clamp_min",
@@ -161,7 +160,7 @@ class Tensor:
     """A dense row-major float64 array plus tape hooks for backprop.
 
     An op result's ``_nd`` is its tape node; a leaf (any tensor built
-    directly, ``Parameter``s included, or an untaped result) has none and is
+    directly, model weights included, or an untaped result) has none and is
     its own node, with no parents and no backward.
 
     ``t += u`` is Python's default ``t = t + u``: it rebinds ``t`` to a new
@@ -490,16 +489,3 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     return _make(out, tuple(tensors), backward)
 
-
-class Parameter(Tensor):
-    """A leaf that requires grad until frozen (or built with
-    ``trainable=False``). Like any leaf's, its ``grad`` is None until a
-    backward reaches it; optimizers reset it to None."""
-
-    __slots__ = ()
-
-    def __init__(self, data, trainable: bool = True):
-        super().__init__(data, requires_grad=trainable)
-
-    def freeze(self) -> None:
-        self.requires_grad = False

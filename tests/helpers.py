@@ -4,8 +4,9 @@ scalar KL, cross-entropy and blended distillation loss that the batch
 tensors' losses in ``distill`` are checked against, frame-by-frame VAD, a
 ``metrics.txt`` reader, ``tape_node``, the one way tests reach a tensor's
 tape node, ``capture_grad``, which records the gradient an interior tape
-node receives (backward keeps ``.grad`` only on leaves), and
-``fill_disk``, which makes file writes fail midway.
+node receives (backward keeps ``.grad`` only on leaves), ``nan_gradient``,
+which gives a loss a NaN gradient, and ``fill_disk``, which makes file
+writes fail midway.
 
 The numeric gradient is an independent oracle for every analytic backward
 pass in the package: perturb one input coordinate at a time by +-h and take
@@ -89,6 +90,12 @@ def tape_node(t):
     """The tape node of ``t``: an op result's node; ``t`` itself for a leaf,
     an untaped result or a node. Tests reach tape internals only through it."""
     return getattr(t, "_nd", None) or t
+
+
+def nan_gradient(loss, logits):
+    """``loss`` with its value unchanged and a NaN gradient: d sqrt(s)/ds is
+    infinite at s = 0, and 0 * inf gives NaN on the way back to the logits."""
+    return loss + (logits * 0.0).sum() ** 0.5
 
 
 def capture_grad(t) -> CapturedGrad:

@@ -48,11 +48,6 @@ def test_waveform_validation():
         WaveForm(np.zeros(4), 0)
 
 
-def test_waveform_duration():
-    w = WaveForm(np.zeros(8000), 16000)
-    assert w.duration == pytest.approx(0.5)
-
-
 # ------------------------------------------------------------- resample
 
 

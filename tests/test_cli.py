@@ -9,11 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
+from distillfuse import distill, pipeline
+from distillfuse.audio import load_features, save_features
 from distillfuse.checkpoint import load_checkpoint, save_checkpoint
 from distillfuse.cli import main
 from distillfuse.config import RunConfig, parse_config_file
 from distillfuse.models import AudioTeacherModel, TextTeacherModel
 from distillfuse.text import load_vocab
+from helpers import nan_gradient
 
 
 TINY = [
@@ -203,6 +206,68 @@ class TestErrorPaths:
         assert [ln for ln in err.splitlines() if ln.startswith("error: ")] == [
             f"error: {ckpt}: vocab_size 4 does not match the {n} tokens of {vocab}"]
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, max_len", [
+        ("evaluate", "8"), ("evaluate", "32"), ("train-student", "8"), ("train-student", "32"),
+    ])
+    def test_text_checkpoint_of_another_max_len(self, prepared, tmp_path, capsys, command,
+                                                max_len):
+        # the teacher was trained at --max-len 16: shorter ids would be scored
+        # from truncated text, longer ones fail inside the encoder
+        ckpt = prepared["text_ckpt"]
+        flags = {"evaluate": ["--checkpoint", str(ckpt)],
+                 "train-student": ["--text-teacher-ckpt", str(ckpt),
+                                   "--audio-teacher-ckpt", str(prepared["audio_ckpt"])]}
+        out = tmp_path / "out"
+        rc = main([command, *TINY, "--features-dir", str(prepared["feats"]), *flags[command],
+                   "--max-len", max_len, "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: max_len 16 does not match the configured max_len {max_len}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, split, value", [
+        ("train-audio-teacher", "train", np.inf), ("evaluate", "test", np.nan),
+    ])
+    def test_non_finite_features_name_their_file(self, prepared, tmp_path, capsys, command,
+                                                 split, value):
+        feats = shutil.copytree(prepared["feats"], tmp_path / "feats")
+        rows = (feats / "splits.csv").read_text().splitlines()[1:]
+        pid = next(r.split(",")[0] for r in rows if r.endswith("," + split))
+        path = feats / f"{pid}.dfmf"
+        frames = load_features(path)
+        frames[3, 1] = value
+        save_features(path, frames)
+        out = tmp_path / "out"
+        rc = main([command, *TINY, "--features-dir", str(feats),
+                   "--checkpoint", str(prepared["audio_ckpt"]), "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: non-finite value in frame 3\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, stage", [
+        ("train-audio-teacher", "audio teacher"), ("train-student", "student"),
+    ])
+    def test_non_finite_gradient_is_one_error_line(self, prepared, tmp_path, monkeypatch,
+                                                   capsys, command, stage):
+        real_ce, real_distill = pipeline.ce_loss_tensor, distill.distill_loss_tensors
+        monkeypatch.setattr(pipeline, "ce_loss_tensor",
+                            lambda logits, y: nan_gradient(real_ce(logits, y), logits))
+
+        def poisoned(p_mix, logits, y, cfg):
+            loss, parts = real_distill(p_mix, logits, y, cfg)
+            return nan_gradient(loss, logits), parts
+
+        monkeypatch.setattr(distill, "distill_loss_tensors", poisoned)
+        out = tmp_path / "out"
+        rc = main([command, *TINY, "--features-dir", str(prepared["feats"]),
+                   "--text-teacher-ckpt", str(prepared["text_ckpt"]),
+                   "--audio-teacher-ckpt", str(prepared["audio_ckpt"]), "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {stage}, epoch 1, batch 1: non-finite gradient norm nan\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("option, error", [

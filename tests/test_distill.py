@@ -22,7 +22,7 @@ from distillfuse.distill import (
     student_train_step,
 )
 from distillfuse.optim import SGD, Adam
-from distillfuse.tensor import Parameter, Tensor, softmax_np
+from distillfuse.tensor import Tensor, softmax_np
 
 from helpers import check_grads, cross_entropy, kl_divergence, total_loss
 
@@ -321,7 +321,7 @@ class _StubStudent:
 
     def __init__(self, n_coeffs, seed=0):
         rng = np.random.default_rng(seed)
-        self.w = Parameter(rng.normal(size=(2, n_coeffs)) * 0.1)
+        self.w = Tensor(rng.normal(size=(2, n_coeffs)) * 0.1, requires_grad=True)
 
     def forward_logits(self, token_ids, mask, mfcc):
         pooled = mfcc.mean(axis=1)  # (B, n_coeffs)
@@ -417,7 +417,8 @@ class TestStudentTrainStep:
 def test_checked_step_raises_when_backward_misses_a_parameter():
     # the loss reads w but not unused: no parameter may move, w included
     rng = np.random.default_rng(41)
-    w, unused = Parameter(rng.normal(size=(3, 2))), Parameter(rng.normal(size=2))
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    unused = Tensor(rng.normal(size=2), requires_grad=True)
     before = [w.data.tobytes(), unused.data.tobytes()]
     for opt in (SGD([w, unused], 0.1), Adam([w, unused], 0.1)):
         loss = ce_loss_tensor(Tensor(rng.normal(size=(4, 3))) @ w, one_hot([0, 1, 1, 0]))
@@ -428,7 +429,7 @@ def test_checked_step_raises_when_backward_misses_a_parameter():
 
 
 def test_require_finite_grads_returns_the_global_norm():
-    a, b = Parameter(np.zeros(2)), Parameter(np.zeros((1, 1)))
+    a, b = Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros((1, 1)), requires_grad=True)
     a.grad = np.array([3.0, 0.0])
     b.grad = np.full((1, 1), 4.0)
     assert require_finite_grads([a, b], "x") == 5.0

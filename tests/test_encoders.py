@@ -25,7 +25,7 @@ from distillfuse.encoders import (
 )
 from distillfuse import tensor
 from distillfuse.models import make_fake_quant_transform
-from distillfuse.tensor import Parameter, ShapeError, Tensor, no_grad, softmax_np
+from distillfuse.tensor import ShapeError, Tensor, no_grad, softmax_np
 
 from helpers import FD_TOL, check_grads, numeric_grad, rel_err, tape_node
 
@@ -62,7 +62,7 @@ class TestBlock:
     def test_names_follow_assignment_order_and_nesting(self):
         class Leaf(Block):
             def __init__(self):
-                self.w = Parameter(np.zeros(2))
+                self.w = Tensor(np.zeros(2), requires_grad=True)
                 self.size = 2
 
         class Outer(Block):
@@ -72,7 +72,7 @@ class TestBlock:
                 self.layers = [Leaf(), Leaf()]
                 self.absent = None
                 self.inner = Leaf()
-                self.a = Parameter(np.zeros(3))
+                self.a = Tensor(np.zeros(3), requires_grad=True)
 
         outer = Outer()
         named = outer.named_parameters("m.")
@@ -109,8 +109,8 @@ class TestLayerNorm:
     def test_output_statistics(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(loc=3.0, scale=5.0, size=(4, 6, 8)))
-        g = Parameter(np.ones(8))
-        b = Parameter(np.zeros(8))
+        g = Tensor(np.ones(8), requires_grad=True)
+        b = Tensor(np.zeros(8), requires_grad=True)
         out = layer_norm(x, g, b).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         # variance of the normalized features is var/(var+eps), just under 1
@@ -118,22 +118,21 @@ class TestLayerNorm:
 
     def test_hand_row(self):
         x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        g = Parameter(np.full(4, 2.0))
-        b = Parameter(np.full(4, 0.5))
-        eps = 1e-5
-        out = layer_norm(x, g, b, eps=eps).data
+        g = Tensor(np.full(4, 2.0), requires_grad=True)
+        b = Tensor(np.full(4, 0.5), requires_grad=True)
+        out = layer_norm(x, g, b).data
         centered = np.array([-1.5, -0.5, 0.5, 1.5])
-        expected = centered / np.sqrt(1.25 + eps) * 2.0 + 0.5
+        expected = centered / np.sqrt(1.25 + 1e-5) * 2.0 + 0.5
         np.testing.assert_allclose(out[0], expected, atol=1e-15)
 
     def test_gamma_beta_affine(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(3, 5)))
-        g1 = Parameter(np.ones(5))
-        b0 = Parameter(np.zeros(5))
+        g1 = Tensor(np.ones(5), requires_grad=True)
+        b0 = Tensor(np.zeros(5), requires_grad=True)
         base = layer_norm(x, g1, b0).data
-        g = Parameter(rng.normal(size=5))
-        b = Parameter(rng.normal(size=5))
+        g = Tensor(rng.normal(size=5), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
         out = layer_norm(x, g, b).data
         np.testing.assert_allclose(out, base * g.data + b.data, atol=1e-13)
 
@@ -305,16 +304,6 @@ class TestTextEncoder:
         np.testing.assert_array_equal(
             plain.forward(ids, mask).data, adapted.forward(ids, mask).data)
 
-    def test_adapter_split_and_freeze(self):
-        enc = self._tiny(lora_rank=2)
-        base = enc.base_parameters()
-        adapters = [p for n, p in enc.named_parameters() if ".lora_" in n]
-        assert len(adapters) == 4  # q and v adapters, (a, b) each, 1 layer
-        assert len(base) + len(adapters) == len(enc.named_parameters())
-        enc.freeze_base()
-        assert all(not p.requires_grad for p in base)
-        assert all(p.requires_grad for p in adapters)
-
     @pytest.mark.parametrize("lora_rank", [0, 2])
     def test_untaped_forward_equals_taped_bytes(self, lora_rank):
         # Non-zero weights everywhere (LoRA ``b`` included), every mask
@@ -347,8 +336,8 @@ class TestTextEncoder:
         made = _count_makes(monkeypatch)
         taped = enc.forward(ids, mask)
         assert taped.requires_grad and made  # trainable: still tapes
-        for p in enc.base_parameters():
-            p.freeze()
+        for _, p in enc.named_parameters():
+            p.requires_grad = False
         made.clear()
         frozen = enc.forward(ids, mask)
         assert not frozen.requires_grad and not made
@@ -503,7 +492,7 @@ class TestBiLstm:
             model.mean_states(x)
         assert len(made) == 2  # the two concat calls of the entry points
         for _, p in model.named_parameters():
-            p.freeze()
+            p.requires_grad = False
         made.clear()
         assert not model.final_states(x).requires_grad and len(made) == 1
 

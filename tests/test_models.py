@@ -45,6 +45,36 @@ def _mfcc_batch(rng, n=3, t=5, c=3):
     return rng.normal(size=(n, t, c))
 
 
+def _trainable_names(model, reload: bool, tmp_path) -> list[str]:
+    """The names of ``model``'s trainable blocks, after a checkpoint round
+    trip when ``reload``."""
+    if reload:
+        save_checkpoint(tmp_path / "model.ckpt", model.to_checkpoint())
+        model = load_model(tmp_path / "model.ckpt")
+    return [n for n, p in model.named_parameters() if p.requires_grad]
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+class TestTrainableBlocks:
+    HEAD = ["head.w", "head.b"]
+
+    def test_text_teacher_trains_adapters_and_head(self, reload, tmp_path):
+        lora = [f"layer{i}.lora_{m}.{w}" for i in range(2) for m in "qv" for w in "ab"]
+        for rank, adapters in ((0, []), (2, lora)):
+            model = TextTeacherModel.build(12, _tiny_cfg(n_layers=2, lora_rank=rank))
+            assert _trainable_names(model, reload, tmp_path) == adapters + self.HEAD
+
+    def test_audio_teacher_and_student_train_every_block(self, reload, tmp_path):
+        audio = AudioTeacherModel.build(_tiny_cfg())
+        lstm = ["wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b"]
+        assert _trainable_names(audio, reload, tmp_path) == lstm + self.HEAD
+        for multi_head in (False, True):
+            student = StudentModel.build(12, _tiny_cfg(multi_head=multi_head))
+            names = [n for n, _ in student.named_parameters()]
+            assert _trainable_names(student, reload, tmp_path) == names
+            assert {n.split(".")[0] for n in names} == {"text", "audio", "fusion", "head"}
+
+
 class TestTextTeacher:
     def test_build_and_probs(self):
         model = TextTeacherModel.build(12, _tiny_cfg())
@@ -53,13 +83,6 @@ class TestTextTeacher:
         p = model.predict_probs(ids, mask)
         assert p.shape == (3, 2)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_base_frozen_adapters_trainable(self):
-        model = TextTeacherModel.build(12, _tiny_cfg())
-        trainable = model.trainable_parameters()
-        # adapters (2 per layer x 2 tensors) + head (w, b)
-        assert len(trainable) == 4 + 2
-        assert all(not p.requires_grad for p in model.encoder.base_parameters())
 
     def test_temperature_softens(self):
         model = TextTeacherModel.build(12, _tiny_cfg())

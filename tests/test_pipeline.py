@@ -35,6 +35,7 @@ from distillfuse.pipeline import (
     train_text_teacher,
 )
 from distillfuse.text import load_vocab
+from helpers import nan_gradient
 
 
 def _tiny_cfg(**kw):
@@ -581,12 +582,6 @@ def test_negative_epochs_rejected_before_any_file(workspace, teacher_ckpts, tmp_
     assert not out.exists()
 
 
-def _nan_gradient(loss, logits):
-    """``loss`` with its value unchanged and a NaN gradient: d sqrt(s)/ds is
-    infinite at s = 0, and 0 * inf gives NaN on the way back to the logits."""
-    return loss + (logits * 0.0).sum() ** 0.5
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteGradient:
     """A finite loss with a NaN gradient stops a stage after backward and
@@ -612,8 +607,8 @@ class TestNonFiniteGradient:
                     return out
                 seen.before = [p.data.copy() for p in seen.opts[-1].params]
                 if isinstance(out, tuple):
-                    return (_nan_gradient(out[0], args[logits_at]), *out[1:])
-                return _nan_gradient(out, args[logits_at])
+                    return (nan_gradient(out[0], args[logits_at]), *out[1:])
+                return nan_gradient(out, args[logits_at])
             return poisoned
 
         monkeypatch.setattr(pipeline, "make_optimizer", recording)

@@ -14,7 +14,6 @@ from distillfuse import tensor
 from distillfuse.optim import SGD
 from distillfuse.tensor import (
     DomainError,
-    Parameter,
     ShapeError,
     Tensor,
     clamp_min,
@@ -168,7 +167,7 @@ BASIC_KEYS = [
 ]
 
 
-@pytest.mark.parametrize("leaf", [Tensor, Parameter])
+@pytest.mark.parametrize("leaf", [Tensor])
 def test_overlapping_basic_slices_accumulate(leaf):
     # each key reads an overlapping region; backward adds into the slices of
     # one buffer, so compare against scatters into a zero array
@@ -176,7 +175,7 @@ def test_overlapping_basic_slices_accumulate(leaf):
     data = rng.normal(size=(2, 3, 4))
     weights = [rng.normal(size=data[k].shape) for k in BASIC_KEYS]
     for through_node in (False, True):
-        t = leaf(data.copy()) if leaf is Parameter else leaf(data.copy(), requires_grad=True)
+        t = leaf(data.copy(), requires_grad=True)
         src = t * 1.0 if through_node else t
         seen = capture_grad(src) if through_node else None
         loss = None
@@ -319,9 +318,9 @@ def test_second_backward_through_an_interior_node_starts_from_zero():
 def test_backward_frees_interior_grads_and_keeps_leaf_grads():
     rng = np.random.default_rng(34)
     x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    w = Parameter(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     frozen = Tensor(rng.normal(size=(2, 3)))
-    off_graph = Parameter(rng.normal(size=3))
+    off_graph = Tensor(rng.normal(size=3), requires_grad=True)
     off_graph.grad = np.full(3, 7.0)
     loss = (((x @ w).tanh() * frozen).sum(axis=1) ** 2.0).mean()
     nodes, stack = set(), [tape_node(loss)]
@@ -457,8 +456,8 @@ def test_softmax_np_matches_the_reference_and_works_in_place():
 
 
 def test_records_tape_states_the_make_rule():
-    w = Parameter(np.ones(2))
-    frozen = Parameter(np.ones(2), trainable=False)
+    w = Tensor(np.ones(2), requires_grad=True)
+    frozen = Tensor(np.ones(2))
     const = Tensor(np.ones(2))
     assert records_tape(w) and records_tape(const, w)
     assert not records_tape(frozen, const) and not records_tape()
@@ -517,8 +516,8 @@ def _records(t: Tensor) -> bool:
 
 
 def test_no_grad_records_nothing_for_trainable_parameters():
-    w = Parameter(np.arange(6.0).reshape(2, 3) / 6.0)
-    v = Parameter(np.ones((3, 2)))
+    w = Tensor(np.arange(6.0).reshape(2, 3) / 6.0, requires_grad=True)
+    v = Tensor(np.ones((3, 2)), requires_grad=True)
     with no_grad():
         outs = [w + 1.0, w * w, w @ v, (w @ v).sum(), w[:, 1:], w.tanh(), w.transpose(),
                 softmax(w), concat([w, w], axis=1), v[np.array([0, 2])],
@@ -530,7 +529,7 @@ def test_no_grad_records_nothing_for_trainable_parameters():
 
 
 def test_no_grad_restores_mode_after_exception_and_nesting():
-    w = Parameter(np.ones(2))
+    w = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ShapeError):
         with no_grad():
             w + Tensor(np.ones(3))
@@ -543,7 +542,7 @@ def test_no_grad_restores_mode_after_exception_and_nesting():
 
 
 def test_no_grad_is_per_thread():
-    w = Parameter(np.ones(2))
+    w = Tensor(np.ones(2), requires_grad=True)
     seen = {}
 
     def worker():
@@ -652,7 +651,7 @@ def _view_of_a_result():
 
 
 @pytest.mark.parametrize("make_self, other", [
-    (lambda: Parameter(np.ones((2, 3))), np.ones(3)),
+    (lambda: Tensor(np.ones((2, 3)), requires_grad=True), np.ones(3)),
     (lambda: Tensor(np.ones((2, 3)), requires_grad=True), np.ones(3)),
     (_view_of_a_result, np.ones(2)),
     (lambda: Tensor(np.ones(3), requires_grad=True) * 2.0, np.ones((2, 3))),
@@ -740,17 +739,17 @@ def test_a_leaf_is_its_own_node_without_referencing_itself():
     assert tape_node(y) is not y and tape_node(y)._parents == [x, None]
 
 
-# ------------------------------------------------------- Parameter
+# ------------------------------------------------ trainable leaves
 
 
 def test_parameter_requires_grad_and_starts_without_grad():
-    p = Parameter(np.zeros((2, 2)))
+    p = Tensor(np.zeros((2, 2)), requires_grad=True)
     assert p.requires_grad and p.grad is None
-    assert not Parameter(np.zeros(2), trainable=False).requires_grad
+    assert not Tensor(np.zeros(2)).requires_grad
 
 
 def test_parameter_zero_grad_resets():
-    p = Parameter(np.ones(3))
+    p = Tensor(np.ones(3), requires_grad=True)
     (p * 2.0).sum().backward()
     np.testing.assert_array_equal(p.grad, 2.0 * np.ones(3))
     SGD([p], 0.1).zero_grad()
@@ -758,11 +757,10 @@ def test_parameter_zero_grad_resets():
 
 
 def test_parameter_freeze_stops_gradients():
-    p = Parameter(np.ones(3))
-    p.freeze()
+    p = Tensor(np.ones(3), requires_grad=True)
+    p.requires_grad = False
     out = (p * 2.0).sum()
     assert not out.requires_grad
-    assert not p.requires_grad
 
 
 def test_rel_err_helper_is_scale_aware():

@@ -2,8 +2,9 @@
 
     python tools/linetrace.py OUT
 
-Runs all nine ``distillfuse`` commands at a tiny recipe (40 synthetic
-participants, ``--d-model 16``, 1-3 epochs) from inside ``OUT``, in this
+Writes a tiny recipe (40 synthetic participants, ``d_model = 16``, 1-3
+epochs) to ``OUT/tiny.cfg`` and runs all nine ``distillfuse`` commands with
+``--config tiny.cfg`` plus their own flags from inside ``OUT``, in this
 process, under ``sys.settrace`` and ``threading.settrace``, so the preprocess
 pool's worker threads are traced too. ``train-student`` runs single-head at
 temperature 2, ``quantize`` runs once per scheme and ``evaluate`` scores the
@@ -28,28 +29,29 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 PKG = SRC / "distillfuse"
 
-TINY = ["--synth-n", "40", "--d-model", "16", "--d-ff", "32", "--lstm-hidden", "8",
-        "--max-len", "32", "--batch-size", "8", "--fusion-dim", "8", "--fusion-heads", "2",
-        "--epochs-text", "1", "--epochs-audio", "2", "--epochs-student", "3",
-        "--epochs-qat", "1", "--plateau-patience", "1", "--threads", "2"]
+TINY = {"synth_n": 40, "d_model": 16, "d_ff": 32, "lstm_hidden": 8, "max_len": 32,
+        "batch_size": 8, "fusion_dim": 8, "fusion_heads": 2, "multi_head": "true",
+        "epochs_text": 1, "epochs_audio": 2, "epochs_student": 3, "epochs_qat": 1,
+        "plateau_patience": 1, "plateau_factor": 0.5, "threads": 2}
+CONFIG = ["--config", "tiny.cfg"]
 FEATURES = ["--features-dir", "features"]
 TEACHERS = ["--text-teacher-ckpt", "teachers/text_teacher.ckpt",
             "--audio-teacher-ckpt", "teachers/audio_teacher.ckpt"]
 
 COMMANDS = [
-    ["synth", *TINY, "--data-dir", "data"],
-    ["preprocess", *TINY, "--data-dir", "data", *FEATURES],
-    ["train-text-teacher", *TINY, *FEATURES, "--out-dir", "teachers"],
-    ["train-audio-teacher", *TINY, *FEATURES, "--out-dir", "teachers"],
-    ["train-student", *TINY, *FEATURES, *TEACHERS, "--no-multi-head", "--temperature", "2",
+    ["synth", *CONFIG, "--data-dir", "data"],
+    ["preprocess", *CONFIG, "--data-dir", "data", *FEATURES],
+    ["train-text-teacher", *CONFIG, *FEATURES, "--out-dir", "teachers"],
+    ["train-audio-teacher", *CONFIG, *FEATURES, "--out-dir", "teachers"],
+    ["train-student", *CONFIG, *FEATURES, *TEACHERS, "--no-multi-head", "--temperature", "2",
      "--out-dir", "student"],
-    *[["quantize", *TINY, *FEATURES, "--checkpoint", "teachers/audio_teacher.ckpt",
+    *[["quantize", *CONFIG, *FEATURES, "--checkpoint", "teachers/audio_teacher.ckpt",
        "--quant-scheme", scheme, "--out-dir", f"quantize-{scheme}"]
       for scheme in ("symmetric", "asymmetric")],
-    ["evaluate", *TINY, *FEATURES, "--checkpoint",
+    ["evaluate", *CONFIG, *FEATURES, "--checkpoint",
      "quantize-asymmetric/audio_teacher_quantized.ckpt", "--out-dir", "evaluate"],
-    ["ablate", *TINY, *FEATURES, *TEACHERS, "--out-dir", "ablate"],
-    ["run", *TINY, "--out-dir", "run"],
+    ["ablate", *CONFIG, *FEATURES, *TEACHERS, "--out-dir", "ablate"],
+    ["run", *CONFIG, "--out-dir", "run"],
 ]
 
 
@@ -66,10 +68,10 @@ def function_lines(path: Path) -> set[int]:
 
 
 def unrun_lines(out, commands) -> dict[str, list[int]]:
-    """Run each argument list in ``commands`` through ``distillfuse.cli.main``
-    from inside ``out``; return, per module file name, the sorted function
-    lines that none of them ran. Raises RuntimeError naming the first
-    command that fails."""
+    """Write ``TINY`` to ``out/tiny.cfg``, then run each argument list in
+    ``commands`` through ``distillfuse.cli.main`` from inside ``out``;
+    return, per module file name, the sorted function lines that none of
+    them ran. Raises RuntimeError naming the first command that fails."""
     ran: dict[str, set[int]] = {}
     names: dict[str, str | None] = {}  # co_filename -> module file name, or None
 
@@ -89,6 +91,8 @@ def unrun_lines(out, commands) -> dict[str, list[int]]:
         ran.setdefault(name, set()).add(code.co_firstlineno)
         return local
 
+    lines = ["# linetrace recipe", *(f"{k} = {v}" for k, v in TINY.items())]
+    (Path(out) / "tiny.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
     sys.path.insert(0, str(SRC))
     here, previous = Path.cwd(), sys.gettrace()
     os.chdir(out)
