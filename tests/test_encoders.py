@@ -24,7 +24,7 @@ from distillfuse.encoders import (
     zeros_param,
 )
 from distillfuse import tensor
-from distillfuse.models import make_fake_quant_transform
+from distillfuse.models import TextTeacherModel, make_fake_quant_transform
 from distillfuse.tensor import ShapeError, Tensor, no_grad, softmax_np
 
 from helpers import FD_TOL, check_grads, numeric_grad, rel_err, tape_node
@@ -303,6 +303,20 @@ class TestTextEncoder:
             p_dst.data[:] = p_src.data
         np.testing.assert_array_equal(
             plain.forward(ids, mask).data, adapted.forward(ids, mask).data)
+
+    def test_adapter_split_and_freeze(self):
+        enc = self._tiny(lora_rank=2)
+        named = enc.named_parameters()
+        adapters = [n for n, _ in named if ".lora_" in n]
+        assert len(adapters) == 4  # q and v adapters, (a, b) each, 1 layer
+        assert all(p.requires_grad for _, p in named)  # a bare encoder trains all
+        # the text teacher assembles the same encoder with its base frozen
+        teacher = TextTeacherModel(np.random.default_rng(11), vocab_size=20, d_model=8,
+                                   n_layers=1, n_heads=2, d_ff=16, max_len=12,
+                                   lora_rank=2, lora_alpha=32.0)
+        frozen = teacher.encoder.named_parameters()
+        assert [n for n, _ in frozen] == [n for n, _ in named]
+        assert [n for n, p in frozen if p.requires_grad] == adapters
 
     @pytest.mark.parametrize("lora_rank", [0, 2])
     def test_untaped_forward_equals_taped_bytes(self, lora_rank):

@@ -84,6 +84,14 @@ class TestTextTeacher:
         assert p.shape == (3, 2)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_base_frozen_adapters_trainable(self):
+        model = TextTeacherModel.build(12, _tiny_cfg())
+        trainable = model.trainable_parameters()
+        # adapters (2 per layer x 2 tensors) + head (w, b)
+        assert len(trainable) == 4 + 2
+        base = [p for n, p in model.encoder.named_parameters() if ".lora_" not in n]
+        assert base and all(not p.requires_grad for p in base)
+
     def test_temperature_softens(self):
         model = TextTeacherModel.build(12, _tiny_cfg())
         rng = np.random.default_rng(1)
