@@ -12,7 +12,8 @@ Layout (all integers little-endian):
     str := u32 byte-length | utf-8 bytes
 
 Any structural problem, quantization parameters that ``QuantParams`` rejects
-included, raises CheckpointError naming the file and the byte offset.
+and a repeated meta key or block name included, raises CheckpointError naming
+the file and the byte offset.
 """
 
 from __future__ import annotations
@@ -121,11 +122,15 @@ def load_checkpoint(path) -> Checkpoint:
     kind = r.string()
     meta = {}
     for _ in range(r.u32()):
-        k = r.string()
+        key_off, k = r.off, r.string()
+        if k in meta:
+            raise CheckpointError(f"{path}: repeated meta key {k!r} at byte {key_off}")
         meta[k] = r.string()
     ckpt = Checkpoint(kind, meta)
     for _ in range(r.u32()):
-        name = r.string()
+        name_off, name = r.off, r.string()
+        if name in ckpt.arrays or name in ckpt.quantized:
+            raise CheckpointError(f"{path}: repeated block name {name!r} at byte {name_off}")
         flag_off = r.off
         flag, ndim = struct.unpack("<BI", r.take(5))
         if flag not in (0, 1):

@@ -40,7 +40,7 @@ def _meta(ckpt: Checkpoint, source: str, key: str, parse):
 
 def _parse_bool(raw: str) -> bool:
     if raw not in ("true", "false"):
-        raise ValueError(raw)
+        raise ValueError(f"must be true or false, got {raw}")
     return raw == "true"
 
 
@@ -48,7 +48,7 @@ def _int_at_least(lo: int):
     def parse(raw: str) -> int:
         value = int(raw)
         if value < lo:
-            raise ValueError(raw)
+            raise ValueError(f"must be >= {lo}, got {raw}")
         return value
 
     return parse
@@ -57,7 +57,7 @@ def _int_at_least(lo: int):
 def _finite_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
-        raise ValueError(raw)
+        raise ValueError(f"must be finite, got {raw}")
     return value
 
 
@@ -125,6 +125,12 @@ class _Model:
     quantized_blocks: dict | None = None
 
     def __init__(self, rng: np.random.Generator | None, **meta):
+        for key, parse in self.META:  # build refuses what from_checkpoint refuses
+            try:
+                if parse:
+                    parse(_meta_str(meta[key]))
+            except ValueError as err:
+                raise ValueError(f"{key} {err}") from None
         self.meta = meta
         self._assemble(rng, **meta)
 

@@ -19,15 +19,12 @@ __all__ = [
     "PAD_TOKEN",
     "SEP_TOKEN",
     "TranscriptParseError",
-    "TranscriptTurn",
     "UNK_TOKEN",
     "Vocabulary",
     "build_vocab",
     "encode",
     "load_vocab",
-    "merge_turns",
     "parse_and_filter_transcript",
-    "parse_transcript",
     "save_vocab",
     "tokenize",
 ]
@@ -45,22 +42,17 @@ class TranscriptParseError(ValueError):
     """A transcript line that cannot be parsed; the message names the line."""
 
 
-@dataclass
-class TranscriptTurn:
-    start_time: float
-    stop_time: float
-    speaker: str
-    text: str
-
-
-def parse_transcript(content: str) -> list[TranscriptTurn]:
-    """Parse a tab-separated transcript; malformed rows raise with their line number."""
+def parse_and_filter_transcript(content: str, interviewer: str = "Ellie") -> str:
+    """Parse a tab-separated transcript and return the text of its
+    non-interviewer turns (speaker compared case-insensitively), stripped and
+    joined in start-time order; equal start times keep file order. Blank turns
+    are skipped, and a malformed row raises with its line number."""
     lines = [ln.rstrip("\r") for ln in content.splitlines()]
     if not lines or tuple(lines[0].split("\t")) != TRANSCRIPT_HEADER:
         raise TranscriptParseError(
             "line 1: expected header 'start_time\\tstop_time\\tspeaker\\tvalue'"
         )
-    turns: list[TranscriptTurn] = []
+    kept: list[tuple[float, str]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -77,20 +69,10 @@ def parse_transcript(content: str) -> list[TranscriptTurn]:
             raise TranscriptParseError(
                 f"line {lineno}: stop_time {stop} precedes start_time {start}"
             )
-        turns.append(TranscriptTurn(start, stop, parts[2], parts[3]))
-    return turns
-
-
-def merge_turns(turns: list[TranscriptTurn], interviewer: str = "Ellie") -> str:
-    """Drop interviewer turns (case-insensitive) and join the rest in time order."""
-    kept = [t for t in turns if t.speaker.lower() != interviewer.lower()]
-    kept.sort(key=lambda t: t.start_time)  # stable: file order breaks ties
-    pieces = [t.text.strip() for t in kept if t.text.strip()]
-    return " ".join(pieces)
-
-
-def parse_and_filter_transcript(content: str, interviewer: str = "Ellie") -> str:
-    return merge_turns(parse_transcript(content), interviewer)
+        if parts[2].lower() != interviewer.lower() and parts[3].strip():
+            kept.append((start, parts[3].strip()))
+    kept.sort(key=lambda turn: turn[0])  # stable: file order breaks ties
+    return " ".join(text for _, text in kept)
 
 
 def tokenize(text: str) -> list[str]:
@@ -104,11 +86,7 @@ class Vocabulary:
     id_to_token: list[str]
 
     def __post_init__(self):
-        if tuple(self.id_to_token[:4]) != SPECIAL_TOKENS:
-            raise ValueError("vocabulary must start with the four special tokens")
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("vocabulary contains duplicate tokens")
 
     @property
     def size(self) -> int:

@@ -1,8 +1,8 @@
 """Shared test utilities: central finite-difference gradient checking and
 reference implementations that vectorized code is compared against: the
 scalar KL, cross-entropy and blended distillation loss that the batch
-tensors' losses in ``distill`` are checked against, frame-by-frame VAD, a
-``metrics.txt`` reader, ``tape_node``, the one way tests reach a tensor's
+tensors' losses in ``distill`` are checked against, frame-by-frame VAD, the
+BiLSTM run one direction at a time, a ``metrics.txt`` reader, ``tape_node``, the one way tests reach a tensor's
 tape node, ``capture_grad``, which records the gradient an interior tape
 node receives (backward keeps ``.grad`` only on leaves), ``nan_gradient``,
 which gives a loss a NaN gradient, and ``fill_disk``, which makes file
@@ -22,7 +22,8 @@ import numpy as np
 from distillfuse import files
 from distillfuse.audio import VadConfig, WaveForm
 from distillfuse.distill import PROB_EPS, DistillConfig, LossBreakdown, _check_distribution
-from distillfuse.tensor import Tensor
+from distillfuse.encoders import BiLstm, _sigmoid, _tanh
+from distillfuse.tensor import Tensor, concat, records_tape
 
 FD_H = 1e-5
 FD_TOL = 1e-6
@@ -142,6 +143,47 @@ def vad_segments_reference(w: WaveForm, cfg: VadConfig) -> list[tuple[int, int]]
         segments.append((starts[k], min(starts[j] + frame, n)))
         k = j + 1
     return segments
+
+
+def _lstm_direction_reference(model: BiLstm, x: np.ndarray, wx, wh, b, reverse: bool):
+    bsz, t_steps, _ = x.shape
+    taped = records_tape(wx, wh, b)
+    if not taped:
+        x, wx, wh, b = np.asarray(x, dtype=np.float64), wx.data, wh.data, b.data
+    wrap = Tensor if taped else np.asarray
+    h = model.hidden_dim
+    wx_t, wh_t = wx.transpose(1, 0), wh.transpose(1, 0)
+    hs, cs = wrap(np.zeros((bsz, h))), wrap(np.zeros((bsz, h)))
+    h_sum = None
+    order = range(t_steps - 1, -1, -1) if reverse else range(t_steps)
+    for t in order:
+        z = wrap(x[:, t, :]) @ wx_t
+        z += hs @ wh_t
+        z += b
+        i = _sigmoid(z[:, 0 * h : 1 * h])
+        f = _sigmoid(z[:, 1 * h : 2 * h])
+        g = _tanh(z[:, 2 * h : 3 * h])
+        o = _sigmoid(z[:, 3 * h : 4 * h])
+        cs = f * cs
+        cs += i * g
+        hs = o * _tanh(cs)
+        if h_sum is None:
+            h_sum = hs
+        else:
+            h_sum += hs
+    mean = h_sum * (1.0 / t_steps)
+    return (hs, mean) if taped else (Tensor(hs), Tensor(mean))
+
+
+def bilstm_reference(model: BiLstm, x: np.ndarray, transform=None) -> tuple[Tensor, Tensor]:
+    """``(final_states, mean_states)`` of ``model``, each direction run by its
+    own loop over time, with the weights first passed through
+    ``transform(name, param)`` when one is given. The oracle, float op for
+    float op, for ``BiLstm.final_states`` and ``mean_states``."""
+    w = {n: transform(n, p) if transform else p for n, p in model.named_parameters()}
+    hf, mf = _lstm_direction_reference(model, x, w["wx_f"], w["wh_f"], w["b_f"], reverse=False)
+    hb, mb = _lstm_direction_reference(model, x, w["wx_b"], w["wh_b"], w["b_b"], reverse=True)
+    return concat([hf, hb], axis=1), concat([mf, mb], axis=1)
 
 
 def kl_divergence(p, q, eps: float = PROB_EPS) -> float:

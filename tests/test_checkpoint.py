@@ -213,6 +213,29 @@ def test_crafted_block_raises_checkpoint_error_naming_the_file(tmp_path, name):
         load_checkpoint(p)
 
 
+def test_repeated_block_name_names_file_name_and_offset(tmp_path):
+    # an int8 block must not silently replace the float block of its name
+    p = tmp_path / "twice.ckpt"
+    q = np.array([0.5, -1.0])
+    save_checkpoint(p, Checkpoint("m", {}, arrays={"w": np.zeros(2)},
+                                  quantized={"w": quantize(q, calibrate(q, "symmetric"))}))
+    # magic(4) + version(4) + kind(4+1) + n_meta(4) + n_blocks(4), then the
+    # float block: name(4+1) + flag and ndim(5) + dim(4) + payload(16)
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(p))}: repeated block name 'w' at byte 51$"):
+        load_checkpoint(p)
+
+
+def test_repeated_meta_key_names_file_key_and_offset(tmp_path):
+    p = tmp_path / "twice.ckpt"
+    p.write_bytes(MAGIC + struct.pack("<I", VERSION) + _pack_str("m") + struct.pack("<I", 2)
+                  + _pack_str("k") + _pack_str("a") + _pack_str("k") + _pack_str("b")
+                  + struct.pack("<I", 0))
+    with pytest.raises(CheckpointError,
+                       match=rf"^{re.escape(str(p))}: repeated meta key 'k' at byte 27$"):
+        load_checkpoint(p)
+
+
 def test_hand_built_block_loads_when_sound(tmp_path):
     p = tmp_path / "sound.ckpt"
     p.write_bytes(_quantized_block(0.5, 0))

@@ -272,10 +272,17 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("option, error", [
         (["--temperature", "0"], "temperature must be positive, got 0.0"),
-        (["--fusion-heads", "0"], "n_heads must be >= 1, got 0"),
+        (["--fusion-heads", "0"], "fusion_heads must be >= 1, got 0"),
         (["--n-heads", "3"], "d_model 8 not divisible by n_heads 3"),
         (["--optimizer-student", "bogus"], "unknown optimizer kind 'bogus'"),
-    ], ids=["temperature", "fusion-heads", "n-heads", "optimizer-student"])
+        (["--n-heads", "0"], "n_heads must be >= 1, got 0"),
+        (["--d-model", "0"], "d_model must be >= 1, got 0"),
+        (["--d-ff", "0"], "d_ff must be >= 1, got 0"),
+        (["--lstm-hidden", "0"], "hidden_dim must be >= 1, got 0"),
+        (["--n-coeffs", "0"], "input_dim must be >= 1, got 0"),
+        (["--fusion-dim", "0"], "fusion_dim must be >= 1, got 0"),
+    ], ids=["temperature", "fusion-heads", "n-heads", "optimizer-student", "n-heads-0",
+            "d-model-0", "d-ff-0", "lstm-hidden-0", "n-coeffs-0", "fusion-dim-0"])
     def test_bad_distillation_option_fails_before_any_teacher_runs(self, prepared, tmp_path,
                                                                    monkeypatch, capsys, option,
                                                                    error):
@@ -293,6 +300,13 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
         assert calls == []
+
+    def test_zero_layer_text_teacher_fails_before_training(self, prepared, tmp_path, capsys):
+        rc = main(["train-text-teacher", *TINY, "--features-dir", str(prepared["feats"]),
+                   "--n-layers", "0", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: n_layers must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_eval_split_fails_before_reading(self, prepared, tmp_path, capsys):
         rc = main(["evaluate", *TINY, "--features-dir", str(tmp_path / "nowhere"),

@@ -27,7 +27,7 @@ from distillfuse import tensor
 from distillfuse.models import TextTeacherModel, make_fake_quant_transform
 from distillfuse.tensor import ShapeError, Tensor, no_grad, softmax_np
 
-from helpers import FD_TOL, check_grads, numeric_grad, rel_err, tape_node
+from helpers import FD_TOL, bilstm_reference, check_grads, numeric_grad, rel_err, tape_node
 
 
 def _sigmoid(z):
@@ -443,11 +443,42 @@ class TestBiLstm:
         # weights) over time-reversed x.
         rng = np.random.default_rng(23)
         model = BiLstm(input_dim=3, hidden_dim=2, rng=rng)
+        flipped = BiLstm(input_dim=3, hidden_dim=2, rng=rng)
+        for name in ("wx", "wh", "b"):
+            setattr(flipped, f"{name}_f", getattr(model, f"{name}_b"))
         x = rng.normal(size=(2, 5, 3))
-        hb, _ = model._run(x, model.wx_b, model.wh_b, model.b_b, reverse=True)
-        hb_via_flip, _ = model._run(
-            x[:, ::-1, :].copy(), model.wx_b, model.wh_b, model.b_b, reverse=False)
-        np.testing.assert_array_equal(hb.data, hb_via_flip.data)
+        hb = model.final_states(x).data[:, 2:]
+        hb_via_flip = flipped.final_states(x[:, ::-1, :].copy()).data[:, :2]
+        np.testing.assert_array_equal(hb, hb_via_flip)
+
+    @pytest.mark.parametrize("steps", [1, 6])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "qat"])
+    @pytest.mark.parametrize("states", ["final_states", "mean_states"])
+    def test_equals_per_direction_reference_bytes(self, states, quantized, steps):
+        # Outputs, taped and untaped, and all six weight gradients match the
+        # one-direction-per-loop oracle byte for byte.
+        rng = np.random.default_rng(7 + steps)
+        model = BiLstm(input_dim=4, hidden_dim=3, rng=rng)
+        for _, p in model.named_parameters():
+            p.data = rng.normal(size=p.data.shape)
+        x = rng.normal(size=(5, steps, 4))
+        proj = Tensor(rng.normal(size=(5, 6)))
+        transform = make_fake_quant_transform("symmetric") if quantized else None
+        which = ("final_states", "mean_states").index(states)
+        runs = {
+            "model": lambda: getattr(model, states)(x, transform),
+            "reference": lambda: bilstm_reference(model, x, transform)[which],
+        }
+        seen = {}
+        for key, run in runs.items():
+            taped, untaped = _taped_and_untaped(run)
+            for _, p in model.named_parameters():
+                p.grad = None
+            (taped * proj).sum().backward()
+            seen[key] = [taped.data.tobytes(), untaped.data.tobytes()] + [
+                p.grad.tobytes() for _, p in model.named_parameters()]
+        assert len(seen["model"]) == 8
+        assert seen["model"] == seen["reference"]
 
     def test_feature_dim_checked(self):
         model = BiLstm(input_dim=4, hidden_dim=2, rng=np.random.default_rng(0))

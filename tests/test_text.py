@@ -9,15 +9,11 @@ from distillfuse.text import (
     PAD_TOKEN,
     SEP_TOKEN,
     TranscriptParseError,
-    TranscriptTurn,
     UNK_TOKEN,
-    Vocabulary,
     build_vocab,
     encode,
     load_vocab,
-    merge_turns,
     parse_and_filter_transcript,
-    parse_transcript,
     save_vocab,
     tokenize,
 )
@@ -34,92 +30,79 @@ def _doc(*rows):
 
 def test_parse_basic_transcript():
     doc = _doc("0.0\t1.5\tEllie\thow are you", "2.0\t4.0\tParticipant\tpretty tired")
-    turns = parse_transcript(doc)
-    assert len(turns) == 2
-    assert turns[0] == TranscriptTurn(0.0, 1.5, "Ellie", "how are you")
-    assert turns[1].text == "pretty tired"
+    assert parse_and_filter_transcript(doc) == "pretty tired"
 
 
 def test_parse_tolerates_crlf_and_blank_lines():
     doc = HEADER + "\r\n\r\n0.0\t1.0\tParticipant\tokay\r\n\r\n"
-    turns = parse_transcript(doc)
-    assert len(turns) == 1
-    assert turns[0].speaker == "Participant"
+    assert parse_and_filter_transcript(doc) == "okay"
 
 
 def test_parse_missing_header():
     with pytest.raises(TranscriptParseError, match="line 1"):
-        parse_transcript("0.0\t1.0\tEllie\thi")
+        parse_and_filter_transcript("0.0\t1.0\tEllie\thi")
     with pytest.raises(TranscriptParseError, match="line 1"):
-        parse_transcript("")
+        parse_and_filter_transcript("")
 
 
 def test_parse_wrong_field_count_names_line():
     doc = _doc("0.0\t1.0\tEllie\thi", "2.0\t3.0\tno text field")
     with pytest.raises(TranscriptParseError, match="line 3"):
-        parse_transcript(doc)
+        parse_and_filter_transcript(doc)
 
 
 def test_parse_non_numeric_timestamp_names_line():
     doc = _doc("zero\t1.0\tEllie\thi")
     with pytest.raises(TranscriptParseError, match="line 2"):
-        parse_transcript(doc)
+        parse_and_filter_transcript(doc)
 
 
 def test_parse_stop_before_start_rejected():
     doc = _doc("5.0\t1.0\tEllie\thi")
     with pytest.raises(TranscriptParseError, match="precedes"):
-        parse_transcript(doc)
+        parse_and_filter_transcript(doc)
 
 
 def test_parse_empty_text_field_allowed():
-    turns = parse_transcript(_doc("0.0\t1.0\tParticipant\t"))
-    assert turns[0].text == ""
+    doc = _doc("0.0\t1.0\tParticipant\t", "1.0\t2.0\tParticipant\tafter")
+    assert parse_and_filter_transcript(doc) == "after"
 
 
 # ------------------------------------------------------------- merging
 
 
 def test_merge_drops_interviewer_case_insensitive():
-    turns = [
-        TranscriptTurn(0.0, 1.0, "ELLIE", "question one"),
-        TranscriptTurn(1.0, 2.0, "Participant", "answer one"),
-        TranscriptTurn(2.0, 3.0, "ellie", "question two"),
-        TranscriptTurn(3.0, 4.0, "Participant", "answer two"),
-    ]
-    assert merge_turns(turns) == "answer one answer two"
+    doc = _doc(
+        "0.0\t1.0\tELLIE\tquestion one",
+        "1.0\t2.0\tParticipant\tanswer one",
+        "2.0\t3.0\tellie\tquestion two",
+        "3.0\t4.0\tParticipant\tanswer two",
+    )
+    assert parse_and_filter_transcript(doc) == "answer one answer two"
 
 
 def test_merge_sorts_by_start_time():
-    turns = [
-        TranscriptTurn(5.0, 6.0, "Participant", "later"),
-        TranscriptTurn(0.0, 1.0, "Participant", "earlier"),
-    ]
-    assert merge_turns(turns) == "earlier later"
+    doc = _doc("5.0\t6.0\tParticipant\tlater", "0.0\t1.0\tParticipant\tearlier")
+    assert parse_and_filter_transcript(doc) == "earlier later"
 
 
 def test_merge_stable_on_equal_start_times():
-    turns = [
-        TranscriptTurn(1.0, 2.0, "Participant", "first in file"),
-        TranscriptTurn(1.0, 2.0, "Participant", "second in file"),
-    ]
-    assert merge_turns(turns) == "first in file second in file"
+    doc = _doc(
+        "1.0\t2.0\tParticipant\tfirst in file",
+        "1.0\t2.0\tParticipant\tsecond in file",
+    )
+    assert parse_and_filter_transcript(doc) == "first in file second in file"
 
 
 def test_merge_skips_whitespace_only_text():
-    turns = [
-        TranscriptTurn(0.0, 1.0, "Participant", "  "),
-        TranscriptTurn(1.0, 2.0, "Participant", " real words "),
-    ]
-    assert merge_turns(turns) == "real words"
+    doc = _doc("0.0\t1.0\tParticipant\t  ", "1.0\t2.0\tParticipant\t real words ")
+    assert parse_and_filter_transcript(doc) == "real words"
 
 
 def test_merge_custom_interviewer_name():
-    turns = [
-        TranscriptTurn(0.0, 1.0, "Interviewer", "q"),
-        TranscriptTurn(1.0, 2.0, "Subject", "a"),
-    ]
-    assert merge_turns(turns, interviewer="interviewer") == "a"
+    doc = _doc("0.0\t1.0\tInterviewer\tq", "1.0\t2.0\tSubject\ta")
+    assert parse_and_filter_transcript(doc, interviewer="interviewer") == "a"
+    assert parse_and_filter_transcript(doc) == "q a"
 
 
 def test_parse_and_filter_end_to_end():
@@ -169,10 +152,6 @@ def test_vocab_ignores_special_lookalikes_in_corpus():
 
 
 def test_vocab_rejects_bad_construction():
-    with pytest.raises(ValueError):
-        Vocabulary(["a", "b", "c", "d"])  # wrong specials
-    with pytest.raises(ValueError):
-        Vocabulary([PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN, "x", "x"])
     with pytest.raises(ValueError):
         build_vocab(["a"], min_count=0)
 
